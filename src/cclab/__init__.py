@@ -13,8 +13,7 @@ from .measures import (classical_discord, distributed_measure,
                        local_work, log_negativity, mutual_information,
                        quantum_discord)
 from .sampling import (BoundFit, DistributionSummary, SamplerConfig,
-                       decay_rate, ensemble_sweep, fit_bounds, sample_haar,
-                       sample_w_class)
+                       decay_rate, ensemble_sweep, fit_bounds, sample_state)
 from .discrimination import ProbeTrace, classify, generate_probe_trace
 
 __version__ = "0.1.0"

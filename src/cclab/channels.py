@@ -71,12 +71,3 @@ def apply_local(rho: DensityMatrix, ch: KrausChannel, sites) -> DensityMatrix:
 
 def apply_uniform(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     return apply_local(rho, ch, range(1, rho.n_qubits + 1))
-
-
-def apply_heterogeneous(rho: DensityMatrix, site_channels: dict) -> DensityMatrix:
-    """Distinct channels per site: {site (1-based): KrausChannel}."""
-    check_sites(site_channels.keys(), rho.n_qubits)
-    mat = rho.matrix
-    for s, ch in site_channels.items():
-        mat = _apply_single_site(mat, ch.kraus_ops, s - 1, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, mat, validate=False)

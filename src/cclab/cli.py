@@ -11,25 +11,22 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import discrimination, oracles
-from .channels import KINDS, make_channel, apply_uniform
-from .correlators import correlator, distributed_cmax, genuine_max, parse_index
-from .measures import LW_VARIANTS, MEASURE_KINDS, pair_measure, distributed_measure
+from .channels import KINDS, make_channel
+from .correlators import correlator, genuine_max, parse_index
+from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_measure
 from .sampling import (SamplerConfig, decay_rate, ensemble_sweep,
                        evaluate_ensemble, fit_bounds)
-from .states import PureState, load_state, pure_to_density
+from .states import load_state
 
 VERSION = "0.1.0"
 OUTPUT_ENV = "CCLAB_OUTPUT_DIR"
-
-_CONFIG_KEYS = {"experiment", "sampler", "channels", "p_grid", "measures",
-                "nodal", "direction", "bins", "output_dir", "threads"}
-_SAMPLER_KEYS = {"n_qubits", "ensemble", "count", "master_seed",
-                 "wclass_real_amplitudes"}
+# run settings that do not change the results, kept out of the config hash
+_RUN_KEYS = ("output_dir", "threads")
 
 
 def fmt(x) -> str:
@@ -55,26 +52,19 @@ class ExperimentConfig:
         for ch in self.channels:
             if ch not in KINDS and ch != "none":
                 raise ValueError(f"unknown channel {ch!r}")
-        for m in self.measures:
-            if (m not in MEASURE_KINDS and m not in LW_VARIANTS
-                    and m not in ("dcmax", "genuine_cmax")):
-                raise ValueError(f"unknown measure {m!r}")
+        check_measures(self.measures)
         for p in self.p_grid:
             if not 0 <= p <= 1:
                 raise ValueError(f"p={p} outside [0, 1]")
+        if self.direction not in MEASURED_SIDE:
+            raise ValueError(f"direction {self.direction!r} is not one of {tuple(MEASURED_SIDE)}")
+        if not 1 <= self.nodal <= self.sampler.n_qubits:
+            raise ValueError(f"nodal qubit {self.nodal} outside [1, {self.sampler.n_qubits}]")
 
     def canonical(self) -> str:
-        obj = {
-            "experiment": self.experiment,
-            "sampler": {"n_qubits": self.sampler.n_qubits,
-                        "ensemble": self.sampler.ensemble,
-                        "count": self.sampler.count,
-                        "master_seed": self.sampler.master_seed,
-                        "wclass_real_amplitudes": self.sampler.wclass_real_amplitudes},
-            "channels": list(self.channels), "p_grid": list(self.p_grid),
-            "measures": list(self.measures), "nodal": self.nodal,
-            "direction": self.direction, "bins": self.bins,
-        }
+        obj = asdict(self)
+        for key in _RUN_KEYS:
+            del obj[key]
         return json.dumps(obj, sort_keys=True)
 
     def config_hash(self) -> str:
@@ -87,14 +77,16 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(obj)
 
 
+def _check_keys(obj: dict, cls, what: str) -> None:
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(obj, ExperimentConfig, "config")
     sam = obj.get("sampler", {})
-    unknown = set(sam) - _SAMPLER_KEYS
-    if unknown:
-        raise ValueError(f"unknown sampler keys: {sorted(unknown)}")
+    _check_keys(sam, SamplerConfig, "sampler")
     sampler = SamplerConfig(
         n_qubits=int(sam.get("n_qubits", 3)),
         ensemble=sam.get("ensemble", "haar"),
@@ -194,33 +186,20 @@ def recipe_fig1_wstate(outdir: str, points: int = 21) -> str:
     return path
 
 
-def _table_recipe(channel: str, measure: str, count: int, seed: int,
-                  threads: int) -> ExperimentConfig:
-    return config_from_dict({
-        "experiment": f"table_{measure}_{channel}", "channels": [channel],
-        "p_grid": [0.2, 0.4, 0.6], "measures": [measure],
-        "sampler": {"n_qubits": 3, "count": count, "master_seed": seed},
-        "threads": threads})
-
-
 def recipe_table(channel: str, measure: str, outdir: str, count: int,
                  seed: int, threads: int) -> RunManifest:
     """Table-style statistics for N in {3, 4, 5} and p in {0.2, 0.4, 0.6}."""
     rows = []
     for n in (3, 4, 5):
         cfg = SamplerConfig(n_qubits=n, count=count, master_seed=seed)
-        for p in (0.2, 0.4, 0.6):
-            values = evaluate_ensemble(cfg, channel, p, [measure],
-                                       threads=threads)[:, 0]
-            from .sampling import summarize
-            s = summarize(values, measure, channel, p)
-            rows.append((n, s.p, s.mean, s.std_dev, s.median, s.skewness,
+        for s in ensemble_sweep(cfg, channel, (0.2, 0.4, 0.6), [measure],
+                                threads=threads):
+            rows.append((str(n), s.p, s.mean, s.std_dev, s.median, s.skewness,
                          s.moment_skewness))
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"table_{measure}_{channel}.csv")
     _write_csv(path, ["N", "p", "mean", "std", "median", "skewness",
-                      "moment_skewness"],
-               [(str(r[0]),) + r[1:] for r in rows])
+                      "moment_skewness"], rows)
     manifest = RunManifest(hashlib.sha256(
         f"table:{channel}:{measure}:{count}:{seed}".encode()).hexdigest()[:16],
         VERSION, time.time(), time.time(), [path])
@@ -283,11 +262,9 @@ RECIPES = {
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = config_from_dict({**json.loads(cfg.canonical()),
-                                "sampler": {**json.loads(cfg.canonical())["sampler"],
-                                            "master_seed": args.seed},
-                                "output_dir": cfg.output_dir,
-                                "threads": args.threads or cfg.threads})
+        cfg = replace(cfg, sampler=replace(cfg.sampler, master_seed=args.seed))
+    if args.threads is not None:
+        cfg = replace(cfg, threads=args.threads)
     manifest = run_experiment(cfg)
     print(f"wrote {len(manifest.outputs)} files (config {manifest.config_hash})")
     return 0
@@ -308,9 +285,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     rows = oracles.oracle_equivalence_sweep(
-        states_per_cell=args.states, seed=args.seed or 7,
+        states_per_cell=args.states, seed=args.seed,
         include_mixed_pauli_dpc=True)
-    outdir = args.out or os.environ.get(OUTPUT_ENV, ".")
+    outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "oracle_check.csv")
     _write_csv(path, ["check", "N", "k", "p", "max_dev"],
@@ -323,15 +300,10 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_measure(args) -> int:
     rho = load_state(args.state)
-    kind = args.kind
-    direction = args.direction
-    if rho.n_qubits == 2 and kind != "dcmax":
-        value = pair_measure(rho, kind, direction)
-    elif kind == "dcmax":
-        value = distributed_cmax(rho, args.nodal)
-    else:
-        value = distributed_measure(rho, kind, args.nodal, direction)
-    print(json.dumps({"value": float(value), "kind": kind, "converged": True}))
+    if not 1 <= args.nodal <= rho.n_qubits:
+        raise ValueError(f"nodal qubit {args.nodal} outside [1, {rho.n_qubits}]")
+    value = evaluate_measure(rho, args.kind, args.nodal, args.direction)
+    print(json.dumps({"value": float(value), "kind": args.kind, "converged": True}))
     return 0
 
 
@@ -348,7 +320,7 @@ def _cmd_correlators(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    if args.trace:
+    if args.trace is not None:
         samples = []
         with open(args.trace, newline="") as fh:
             for row in csv.DictReader(fh):
@@ -362,7 +334,7 @@ def _cmd_discriminate(args) -> int:
         trace = discrimination.generate_probe_trace(
             probe, make_channel(args.channel, p_values[0]), p_values,
             noise_sigma=args.sigma,
-            rng=np.random.default_rng(args.seed or 0))
+            rng=np.random.default_rng(args.seed))
     verdict = discrimination.classify(trace, threshold=args.threshold)
     print(json.dumps({"label": verdict.label,
                       "residuals": {k: float(v) for k, v in verdict.residuals.items()}}))
@@ -384,36 +356,31 @@ def _cmd_fit_bounds(args) -> int:
 
 
 def _cmd_recipe(args) -> int:
-    name = args.name
-    outdir = args.out or os.environ.get(OUTPUT_ENV, ".")
-    os.makedirs(outdir, exist_ok=True)
-    seed = args.seed if args.seed is not None else 1
-    threads = args.threads or 1
-    if name == "fig1_wstate":
-        path = recipe_fig1_wstate(outdir)
-        print(f"wrote {path}")
-        return 0
+    name, outdir, seed, threads = args.name, args.out, args.seed, args.threads
     if name not in RECIPES:
-        print(f"unknown recipe {name!r}; available: {sorted(RECIPES)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
+    os.makedirs(outdir, exist_ok=True)
+    if name == "fig1_wstate":
+        print(f"wrote {recipe_fig1_wstate(outdir)}")
+        return 0
     channel, measure = RECIPES[name]
+    count = args.count
+    if count is None:
+        count = {None: 2000, "dcmax": 10000}.get(measure, 1000)
     if measure is None:
-        path = recipe_ghzw_decay(channel, outdir, args.count or 2000, seed, threads)
-        print(f"wrote {path}")
+        path = recipe_ghzw_decay(channel, outdir, count, seed, threads)
     elif measure == "bounds":
-        path = recipe_bound_fit(channel, outdir, args.count or 1000, seed, threads)
-        print(f"wrote {path}")
+        path = recipe_bound_fit(channel, outdir, count, seed, threads)
     else:
-        default = 10000 if measure == "dcmax" else 1000
-        manifest = recipe_table(channel, measure, outdir, args.count or default,
-                                seed, threads)
-        print(f"wrote {manifest.outputs[0]}")
+        path = recipe_table(channel, measure, outdir, count, seed, threads).outputs[0]
+    print(f"wrote {path}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cclab",
                                  description="Noisy-channel classical-correlation laboratory")
+    out_default = os.environ.get(OUTPUT_ENV, ".")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run an ensemble sweep from a JSON config")
@@ -432,16 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="numeric-vs-analytic equivalence sweep")
     p.add_argument("--states", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", default=out_default)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("measure", help="evaluate a correlation measure on a state file")
     p.add_argument("--state", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=MEASURE_KINDS + LW_VARIANTS + ("dcmax",))
+    p.add_argument("--kind", required=True, choices=tuple(MEASURES))
     p.add_argument("--nodal", type=int, default=1)
-    p.add_argument("--direction", choices=("left", "right"), default="left")
+    p.add_argument("--direction", choices=tuple(MEASURED_SIDE), default="left")
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("correlators", help="evaluate correlators on a state file")
@@ -451,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_correlators)
 
     p = sub.add_parser("discriminate", help="classify an unknown local channel")
-    p.add_argument("--trace", help="CSV with columns p, c_before, c_after")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--trace", help="CSV with columns p, c_before, c_after")
+    source.add_argument("--channel", choices=KINDS, help="simulate a probe trace")
     p.add_argument("--N", type=int, default=3)
-    p.add_argument("--simulate", action="store_true")
-    p.add_argument("--channel", choices=KINDS)
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("--beta", type=float, default=0.7)
     p.add_argument("--gamma1", type=float, default=0.0)
@@ -462,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--threshold", type=float, default=0.02)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_discriminate)
 
     p = sub.add_parser("fit-bounds", help="fit bound lines to a two-column CSV")
@@ -472,17 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recipe", help="run a bundled reproduction recipe")
     p.add_argument("name")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--out", default=out_default)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_recipe)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input (a ValueError) gives one
+    "cclab: error: ..." line on stderr and exit code 2, like argparse."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"cclab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

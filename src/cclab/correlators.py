@@ -94,18 +94,13 @@ def distributed_correlator(rho: DensityMatrix, pair_labels, nodal: int = 1) -> f
     return total
 
 
-def distributed_cmax(rho: DensityMatrix, nodal: int = 1, mode: str = "same_pauli",
-                     shared_direction: bool = True) -> float:
-    """Maximal distributed pair correlator over pairs (nodal, i).
-
-    With shared_direction (default) one Pauli assignment is fixed for every
-    pair and the max is taken after summation, max_j sum_i C_{jj}(rho_{1i});
-    otherwise each pair contributes its own maximum."""
+def distributed_cmax(rho: DensityMatrix, nodal: int = 1, mode: str = "same_pauli") -> float:
+    """Maximal distributed pair correlator over pairs (nodal, i), with one
+    Pauli assignment shared by every pair: max_j sum_i C_{jj}(rho_{1i}).
+    The per-pair maxima sum is distributed_measure(rho, "cmax")."""
     if not 1 <= nodal <= rho.n_qubits:
         raise IndexError(f"nodal qubit {nodal} out of range")
     pairs = [partial_trace(rho, (nodal, i))
              for i in range(1, rho.n_qubits + 1) if i != nodal]
-    if shared_direction:
-        return max(sum(correlator(r2, labels) for r2 in pairs)
-                   for labels in _candidates(2, mode))
-    return sum(genuine_max(r2, mode)[0] for r2 in pairs)
+    return max(sum(correlator(r2, labels) for r2 in pairs)
+               for labels in _candidates(2, mode))

@@ -14,14 +14,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
+from . import correlators
 from .states import (DensityMatrix, PAULI, partial_trace, partial_transpose,
-                     shannon_entropy, von_neumann_entropy)
-
-MEASURE_KINDS = ("cmax", "cd", "lw", "qd", "mi", "ln", "eof")
-# local-work variants beyond the two-sided default; "lw_half" (half the
-# one-sided work, dephasing the nodal qubit) is the one that tracks the
-# published per-pair table values
-LW_VARIANTS = ("lw_one_sided", "lw_half")
+                     von_neumann_entropy)
 
 GRID_PHI = 60
 GRID_THETA = 30
@@ -42,26 +37,29 @@ def mutual_information(rho2: DensityMatrix) -> float:
     return max(0.0, sa + sb - sab)
 
 
-def _basis_vectors(theta, phi):
-    """Orthonormal projector pair directions for Bloch angles (arrays ok)."""
+def _projectors(theta, phi) -> np.ndarray:
+    """Rank-1 projective basis with Bloch angles (theta, phi), arrays ok:
+    T[..., o, a, b] = conj(w[..., o, a]) w[..., o, b] for outcomes o in {0, 1}."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e = np.exp(1j * phi)
     u = np.stack([c, e * s], axis=-1)
     v = np.stack([-np.conj(e) * s, c], axis=-1)
-    return u, v
+    w = np.stack([u, v], axis=-2)
+    return np.conj(w)[..., :, None] * w[..., None, :]
 
 
 @lru_cache(maxsize=4)
 def _measurement_grid(n_phi: int, n_theta: int):
-    """Flattened grid of basis-vector pairs and their (theta, phi) angles."""
+    """Projectors of a flattened (theta, phi) grid and its angles."""
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     thetas = np.linspace(0.0, np.pi, n_theta)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    u, v = _basis_vectors(tg.ravel(), pg.ravel())
-    # T[g, o, a, b] = conj(w[g,o,a]) w[g,o,b] for outcomes o in {0, 1}
-    w = np.stack([u, v], axis=1)
-    T = np.conj(w)[..., :, None] * w[..., None, :]
-    return T, tg.ravel(), pg.ravel()
+    return _projectors(tg.ravel(), pg.ravel()), tg.ravel(), pg.ravel()
+
+
+def _refine(objective, x0, maxiter: int = 300):
+    return minimize(objective, x0=x0, method="Nelder-Mead",
+                    options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": maxiter})
 
 
 def _eig2x2_entropy(mats: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -81,22 +79,34 @@ def _eig2x2_entropy(mats: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.sum(probs * ent, axis=-1)
 
 
-def _conditional_entropy_grid(rho4: np.ndarray, measured_first: bool, T: np.ndarray):
-    """Average post-measurement entropy of the unmeasured qubit for every
-    grid basis. rho4 is the density matrix reshaped to [x1, y1, x2, y2]."""
+def _outcome_entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of outcome probabilities, in bits."""
+    p = np.clip(probs, 0.0, None)
+    keep = p > 1e-12
+    return -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
+
+
+def _conditional_states(rho4: np.ndarray, measured_first: bool, T: np.ndarray):
+    """Unnormalized post-measurement states of the unmeasured qubit and the
+    outcome probabilities for every basis in T. rho4 is the density matrix
+    reshaped to [x1, y1, x2, y2]."""
     if measured_first:
         cond = np.einsum("goab,aybw->goyw", T, rho4, optimize=True)
     else:
         cond = np.einsum("goab,xayb->goxy", T, rho4, optimize=True)
-    probs = np.einsum("goaa->go", cond).real
-    return _eig2x2_entropy(cond, probs)
+    return cond, np.einsum("goaa->go", cond).real
 
 
-def _conditional_entropy_single(rho4, measured_first, theta, phi):
-    u, v = _basis_vectors(np.asarray(theta), np.asarray(phi))
-    w = np.stack([u, v], axis=0)
-    T = np.conj(w)[:, :, None] * w[:, None, :]
-    return float(_conditional_entropy_grid(rho4, measured_first, T[None, ...])[0])
+def _conditional_entropy(rho4, measured_first, T):
+    """Average post-measurement entropy of the unmeasured qubit."""
+    return _eig2x2_entropy(*_conditional_states(rho4, measured_first, T))
+
+
+def _one_sided_entropy(rho4, T):
+    """Entropy after dephasing the first qubit in each basis of T:
+    H(outcomes) + average conditional entropy of the second qubit."""
+    cond, probs = _conditional_states(rho4, True, T)
+    return _eig2x2_entropy(cond, probs) + _outcome_entropy(probs)
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def classical_discord_detailed(rho2: DensityMatrix, measured_side: str = "second
     rho4 = rho2.matrix.reshape(2, 2, 2, 2)
 
     T, tg, pg = _measurement_grid(*grid)
-    cond = _conditional_entropy_grid(rho4, measured_first, T)
+    cond = _conditional_entropy(rho4, measured_first, T)
     order = np.argsort(cond)
     best_val = float(cond[order[0]])
     best_angles = (float(tg[order[0]]), float(pg[order[0]]))
@@ -128,10 +138,9 @@ def classical_discord_detailed(rho2: DensityMatrix, measured_side: str = "second
     if refine:
         converged = False
         for idx in order[:3]:
-            res = minimize(
-                lambda x: _conditional_entropy_single(rho4, measured_first, x[0], x[1]),
-                x0=[tg[idx], pg[idx]], method="Nelder-Mead",
-                options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": 300})
+            res = _refine(lambda x: float(_conditional_entropy(
+                rho4, measured_first, _projectors(x[0], x[1])[None])[0]),
+                [tg[idx], pg[idx]])
             if res.fun < best_val:
                 best_val = float(res.fun)
                 best_angles = (float(res.x[0]), float(res.x[1]))
@@ -166,23 +175,12 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided",
 
     if mode == "one_sided":
         T, tg, pg = _measurement_grid(GRID_PHI, GRID_THETA)
-        # entropy of sum_i (P_i x I) rho (P_i x I) = H(outcomes) + avg cond. entropy
-        cond = np.einsum("goab,aybw->goyw", T, rho4, optimize=True)
-        probs = np.einsum("goaa->go", cond).real
-        ent = _eig2x2_entropy(cond, probs) + np.array(
-            [shannon_entropy(np.clip(pr, 0, None)) for pr in probs])
-        order = np.argsort(ent)
-        best = float(ent[order[0]])
+        ent = _one_sided_entropy(rho4, T)
+        idx = np.argsort(ent)[0]  # not argmin: ties keep the reference start point
+        best = float(ent[idx])
         if refine:
-            def obj(x):
-                u, v = _basis_vectors(np.asarray(x[0]), np.asarray(x[1]))
-                w = np.stack([u, v], axis=0)
-                Tx = (np.conj(w)[:, :, None] * w[:, None, :])[None, ...]
-                c = np.einsum("goab,aybw->goyw", Tx, rho4, optimize=True)
-                pr = np.einsum("goaa->go", c).real
-                return float(_eig2x2_entropy(c, pr)[0] + shannon_entropy(np.clip(pr[0], 0, None)))
-            res = minimize(obj, x0=[tg[order[0]], pg[order[0]]], method="Nelder-Mead",
-                           options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": 300})
+            res = _refine(lambda x: float(_one_sided_entropy(
+                rho4, _projectors(x[0], x[1])[None])[0]), [tg[idx], pg[idx]])
             best = min(best, float(res.fun))
         return max(0.0, 2.0 - best)
 
@@ -197,17 +195,9 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided",
     best = float(ent[a0, b0])
     x0 = [tg[a0], pg[a0], tg[b0], pg[b0]]
     if refine:
-        def obj(x):
-            ua, va = _basis_vectors(np.asarray(x[0]), np.asarray(x[1]))
-            ub, vb = _basis_vectors(np.asarray(x[2]), np.asarray(x[3]))
-            wa = np.stack([ua, va], axis=0)
-            wb = np.stack([ub, vb], axis=0)
-            TA = (np.conj(wa)[:, :, None] * wa[:, None, :])[None, ...]
-            TB = (np.conj(wb)[:, :, None] * wb[:, None, :])[None, ...]
-            pr = _dephased_probs(rho4, TA, TB)
-            return shannon_entropy(pr.ravel())
-        res = minimize(obj, x0=x0, method="Nelder-Mead",
-                       options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": 600})
+        res = _refine(lambda x: float(_outcome_entropy(_dephased_probs(
+            rho4, _projectors(x[0], x[1])[None], _projectors(x[2], x[3])[None]).ravel())),
+            x0, maxiter=600)
         best = min(best, float(res.fun))
     return max(0.0, 2.0 - best)
 
@@ -241,45 +231,61 @@ def entanglement_of_formation(rho2: DensityMatrix) -> float:
     return _binary_entropy((1 + np.sqrt(max(0.0, 1 - c**2))) / 2)
 
 
-def pair_measure(rho2: DensityMatrix, kind: str, direction: str = "left") -> float:
-    """Evaluate one bipartite measure on a (nodal, partner) pair.
+# The measure registry: name -> (pair, f). A pair measure f(rho2, measured_side)
+# is summed over the (nodal, i) reduced pairs by distributed_measure; a
+# whole-state measure f(rho, nodal) sees the full register. The lambdas look
+# functions up when they run, so a rebound module attribute reaches every call.
+MEASURES = {
+    "cmax": (True, lambda r, side: correlators.genuine_max(r)[0]),
+    "cd": (True, lambda r, side: classical_discord(r, side)),
+    "lw": (True, lambda r, side: local_work(r)),
+    "qd": (True, lambda r, side: quantum_discord(r, side)),
+    "mi": (True, lambda r, side: mutual_information(r)),
+    "ln": (True, lambda r, side: log_negativity(r)),
+    "eof": (True, lambda r, side: entanglement_of_formation(r)),
+    # "lw_half" (half the one-sided work, dephasing the nodal qubit) is the
+    # local-work variant that tracks the published per-pair table values
+    "lw_one_sided": (True, lambda r, side: local_work(r, "one_sided")),
+    "lw_half": (True, lambda r, side: local_work(r, "one_sided") / 2),
+    # shared-direction distributed correlator maximum
+    "dcmax": (False, lambda rho, nodal: correlators.distributed_cmax(rho, nodal)),
+    "genuine_cmax": (False, lambda rho, nodal: correlators.genuine_max(rho)[0]),
+}
 
-    direction "left" measures the partner (CD^<-), "right" the nodal qubit."""
-    measured = "second" if direction == "left" else "first"
-    if kind == "cmax":
-        from .correlators import genuine_max
-        return genuine_max(rho2)[0]
-    if kind == "cd":
-        return classical_discord(rho2, measured)
-    if kind == "lw":
-        return local_work(rho2)
-    if kind == "lw_one_sided":
-        return local_work(rho2, "one_sided")
-    if kind == "lw_half":
-        return local_work(rho2, "one_sided") / 2
-    if kind == "qd":
-        return quantum_discord(rho2, measured)
-    if kind == "mi":
-        return mutual_information(rho2)
-    if kind == "ln":
-        return log_negativity(rho2)
-    if kind == "eof":
-        return entanglement_of_formation(rho2)
-    raise ValueError(
-        f"unknown measure kind {kind!r}, expected one of {MEASURE_KINDS + LW_VARIANTS}")
+# direction "left" measures the partner (CD^<-), "right" the nodal qubit
+MEASURED_SIDE = {"left": "second", "right": "first"}
+
+
+def check_measures(kinds) -> None:
+    for kind in kinds:
+        if kind not in MEASURES:
+            raise ValueError(f"unknown measure {kind!r}, expected one of {tuple(MEASURES)}")
 
 
 def distributed_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
                         direction: str = "left") -> float:
-    """Sum of a pairwise measure over all (nodal, other) reduced pairs."""
+    """Sum of a pair measure over all (nodal, other) reduced pairs."""
+    check_measures([kind])
+    pair, f = MEASURES[kind]
+    if not pair:
+        raise ValueError(f"{kind!r} is a whole-state measure, not a pair measure")
     if not 1 <= nodal <= rho.n_qubits:
         raise IndexError(f"nodal qubit {nodal} out of range")
+    measured = MEASURED_SIDE[direction]
     total = 0.0
     for i in range(1, rho.n_qubits + 1):
         if i == nodal:
             continue
-        total += pair_measure(partial_trace(rho, (nodal, i)), kind, direction)
+        total += f(partial_trace(rho, (nodal, i)), measured)
     return total
+
+
+def evaluate_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
+                     direction: str = "left") -> float:
+    """Any registry measure of a full state."""
+    check_measures([kind])
+    pair, f = MEASURES[kind]
+    return distributed_measure(rho, kind, nodal, direction) if pair else f(rho, nodal)
 
 
 def koashi_winter_check(rho: DensityMatrix, nodal: int = 1, refine: bool = True,

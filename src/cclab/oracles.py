@@ -53,16 +53,6 @@ def pdc_distributed_multiplier(N: int, p: float) -> float:
     return head + tail
 
 
-def pdc_distributed_zz(pair_sum: float, N: int, p: float, plane: str = "z") -> float:
-    """Distributed pair-correlator sum after uniform PDC.
-
-    All-z pairs are invariant; xy-plane pairs pick up the distributed
-    multiplier."""
-    if plane == "z":
-        return pair_sum
-    return pdc_distributed_multiplier(N, p) * pair_sum
-
-
 def dpc_genuine_multiplier(N: int, p: float) -> float:
     """(1 - 4p/3)^N decay of genuine same-Pauli correlators under uniform
     depolarizing noise."""
@@ -140,10 +130,6 @@ def gghz_adc_zz(theta: float, p: float) -> float:
     """Pair z-correlator of a generalized GHZ state after uniform amplitude
     damping: 1 - 2 p (1-p) (1 - cos theta)."""
     return 1 - 2 * p * (1 - p) * (1 - np.cos(theta))
-
-
-def gghz_adc_distributed_zz(theta: float, p: float, N: int) -> float:
-    return (N - 1) * gghz_adc_zz(theta, p)
 
 
 def discrimination_closed_forms(N: int, p: float, c_before: float = 1.0) -> dict:

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import make_channel, apply_uniform
-from .correlators import distributed_cmax, genuine_max
-from .measures import LW_VARIANTS, MEASURE_KINDS, distributed_measure
-from .states import DensityMatrix, PureState, pure_to_density
+from .measures import check_measures, evaluate_measure
+from .states import PureState, pure_to_density
 
 ENSEMBLES = ("haar", "w_class")
 
@@ -61,21 +60,6 @@ def sample_state(cfg: SamplerConfig, index: int) -> PureState:
     return PureState(3, amps)
 
 
-def sample_haar(cfg: SamplerConfig):
-    """Deterministic stream of Haar-random pure states."""
-    if cfg.ensemble != "haar":
-        raise ValueError("sample_haar requires a haar ensemble config")
-    for i in range(cfg.count):
-        yield sample_state(cfg, i)
-
-
-def sample_w_class(cfg: SamplerConfig):
-    if cfg.ensemble != "w_class":
-        raise ValueError("sample_w_class requires a w_class ensemble config")
-    for i in range(cfg.count):
-        yield sample_state(cfg, i)
-
-
 @dataclass(frozen=True)
 class DistributionSummary:
     measure: str
@@ -110,21 +94,12 @@ def summarize(values: np.ndarray, measure: str, channel: str, p: float,
                                median, pearson, m3, edges, freqs, failures)
 
 
-def _measure_value(rho: DensityMatrix, measure: str, nodal: int, direction: str) -> float:
-    if measure == "genuine_cmax":
-        return genuine_max(rho)[0]
-    if measure == "dcmax":
-        return distributed_cmax(rho, nodal)
-    if measure in MEASURE_KINDS or measure in LW_VARIANTS:
-        return distributed_measure(rho, measure, nodal, direction)
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
                       nodal: int = 1, direction: str = "left",
                       threads: int = 1) -> np.ndarray:
     """Per-sample measure values, shape (count, len(measures)); row order is
     the sample index, independent of the thread schedule."""
+    check_measures(measures)
     ch = make_channel(channel_kind, p) if channel_kind != "none" else None
     out = np.empty((cfg.count, len(measures)), dtype=float)
 
@@ -133,7 +108,7 @@ def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
         if ch is not None:
             rho = apply_uniform(rho, ch)
         for j, m in enumerate(measures):
-            out[i, j] = _measure_value(rho, m, nodal, direction)
+            out[i, j] = evaluate_measure(rho, m, nodal, direction)
 
     if threads <= 1:
         for i in range(cfg.count):
@@ -171,10 +146,6 @@ def decay_rate(points) -> float:
                 raise ValueError("duplicate p values")
             slopes.append((m2 - m1) / (p2 - p1))
     return float(np.mean(slopes))
-
-
-def decay_rate_from_summaries(summaries) -> float:
-    return decay_rate([(s.p, s.mean) for s in summaries])
 
 
 @dataclass(frozen=True)

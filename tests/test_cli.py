@@ -43,6 +43,22 @@ def test_config_validation(tmp_path):
         cli.config_from_dict({"measures": ["mi"], "channels": ["foo"]})
     with pytest.raises(ValueError):
         cli.config_from_dict({"measures": ["mi"], "p_grid": [1.5]})
+    with pytest.raises(ValueError, match="direction"):
+        cli.config_from_dict({"measures": ["mi"], "direction": "sideways"})
+    for nodal in (0, 4, 7):
+        with pytest.raises(ValueError, match="nodal"):
+            cli.config_from_dict({"measures": ["mi"], "nodal": nodal,
+                                  "sampler": {"n_qubits": 3}})
+    assert cli.config_from_dict({"measures": ["mi"], "nodal": 3}).nodal == 3
+
+
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, direction="sideways")
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and "sideways" in err
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_config_hash_stable():
@@ -50,6 +66,16 @@ def test_config_hash_stable():
     b = cli.config_from_dict({"measures": ["mi"], "threads": 8})
     # thread count must not affect the config identity
     assert a.config_hash() == b.config_hash()
+    # hashes of the default, README-example and W-class configs are frozen
+    assert a.config_hash() == "e0ffd7f072fe2609"
+    readme = {"experiment": "demo", "channels": ["pdc", "adc"],
+              "sampler": {"n_qubits": 3, "ensemble": "haar", "count": 1000, "master_seed": 7},
+              "p_grid": [0.2, 0.4, 0.6], "measures": ["dcmax", "mi", "cd"], "bins": 50,
+              "output_dir": "results", "threads": 8}
+    assert cli.config_from_dict(readme).config_hash() == "259a1062f2a3d698"
+    wclass = {"measures": ["cd", "lw_half"], "nodal": 2, "direction": "right",
+              "sampler": {"ensemble": "w_class", "wclass_real_amplitudes": True}}
+    assert cli.config_from_dict(wclass).config_hash() == "380dc7f90ec12b0d"
 
 
 def test_sweep_end_to_end(tmp_path):
@@ -90,6 +116,8 @@ def test_cli_measure_command(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(2.0)
+    assert cli.main(["measure", "--state", str(state), "--kind", "mi", "--nodal", "3"]) == 2
+    assert capsys.readouterr().err.startswith("cclab: error: nodal qubit 3")
 
 
 def test_cli_correlators_command(tmp_path, capsys):
@@ -149,6 +177,7 @@ def test_recipe_fig1(tmp_path, capsys):
 def test_recipe_unknown(capsys):
     rc = cli.main(["recipe", "nope"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("cclab: error: unknown recipe 'nope'")
 
 
 def test_recipe_determinism(tmp_path):
@@ -166,3 +195,45 @@ def test_output_dir_env(tmp_path, monkeypatch, capsys):
     rc = cli.main(["recipe", "fig1_wstate"])
     assert rc == 0
     assert os.path.exists(tmp_path / "envout" / "fig1_wstate.csv")
+
+
+def test_sweep_threads_without_seed(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: seen.append(cfg) or cli.RunManifest("h", "v", 0.0))
+    path = write_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(path), "--threads", "4"]) == 0
+    assert seen[-1].threads == 4
+    assert seen[-1].sampler.master_seed == 3
+    assert cli.main(["sweep", "--config", str(path), "--seed", "9"]) == 0
+    assert seen[-1].sampler.master_seed == 9 and seen[-1].threads == 1
+    assert seen[-1].config_hash() != seen[0].config_hash()
+
+
+def test_discriminate_needs_one_source(tmp_path):
+    for argv in (["discriminate"],
+                 ["discriminate", "--channel", "adc", "--trace", str(tmp_path / "t.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+def test_oracle_check_seed_zero(tmp_path, monkeypatch, capsys):
+    seeds = []
+
+    def sweep(states_per_cell, seed, include_mixed_pauli_dpc):
+        seeds.append(seed)
+        return [{"check": "c", "N": 2, "k": 1, "p": 0.0, "max_dev": 0.0}]
+
+    monkeypatch.setattr(cli.oracles, "oracle_equivalence_sweep", sweep)
+    assert cli.main(["oracle-check", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert cli.main(["oracle-check", "--out", str(tmp_path)]) == 0
+    assert seeds == [0, 7]
+
+
+def test_recipe_count_zero_fails(tmp_path, capsys):
+    rc = cli.main(["recipe", "ghzw_decay_pdc", "--out", str(tmp_path), "--count", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "count" in err
+    assert not os.path.exists(tmp_path / "decay_rate_pdc.csv")

@@ -6,6 +6,7 @@ import pytest
 from cclab.correlators import (correlator, correlator_set, distributed_cmax,
                                distributed_correlator, genuine_max,
                                nongenuine_max, parse_index)
+from cclab.measures import distributed_measure
 from cclab.states import DensityMatrix, PureState, pure_to_density
 from conftest import random_density
 
@@ -80,15 +81,17 @@ def test_distributed_correlator_w3(w3):
 def test_distributed_cmax_shared_direction(w3):
     # shared direction: max_j sum over the two nodal pairs
     assert distributed_cmax(w3) == pytest.approx(4 / 3)
-    assert distributed_cmax(w3, shared_direction=False) == pytest.approx(4 / 3)
+    # per-pair maxima: the registry's pair measure "cmax"
+    assert distributed_measure(w3, "cmax") == pytest.approx(4 / 3)
 
 
 def test_distributed_cmax_shared_vs_per_pair():
     # pair (1,2) maximal in ZZ, pair (1,3) maximal in XX: per-pair sum wins
     rho = random_density(3, 12)
     shared = distributed_cmax(rho)
-    per_pair = distributed_cmax(rho, shared_direction=False)
+    per_pair = distributed_measure(rho, "cmax")
     assert per_pair >= shared - 1e-12
+    assert shared == max(distributed_correlator(rho, (lab, lab)) for lab in "XYZ")
 
 
 def test_distributed_nodal_validation(w3):

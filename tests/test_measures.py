@@ -8,8 +8,9 @@ from cclab.measures import (classical_discord, classical_discord_detailed,
                             concurrence, distributed_measure,
                             entanglement_of_formation, koashi_winter_check,
                             local_work, log_negativity, mutual_information,
-                            pair_measure, quantum_discord)
-from cclab.states import DensityMatrix, PureState, pure_to_density
+                            quantum_discord)
+from cclab.measures import _outcome_entropy
+from cclab.states import DensityMatrix, PureState, pure_to_density, shannon_entropy
 from conftest import random_density, random_pure
 
 
@@ -95,20 +96,37 @@ def test_concurrence_and_eof():
 
 
 def test_pair_measure_dispatch():
+    # on a 2-qubit state the nodal sum is the single pair (1, 2)
     rho = bell_rho()
-    assert pair_measure(rho, "mi") == pytest.approx(2.0)
-    assert pair_measure(rho, "cmax") == pytest.approx(1.0)
-    assert pair_measure(rho, "lw_half") == pytest.approx(
-        pair_measure(rho, "lw_one_sided") / 2)
+    assert distributed_measure(rho, "mi") == pytest.approx(2.0)
+    assert distributed_measure(rho, "cmax") == pytest.approx(1.0)
+    assert distributed_measure(rho, "lw_half") == pytest.approx(
+        distributed_measure(rho, "lw_one_sided") / 2)
     with pytest.raises(ValueError):
-        pair_measure(rho, "magic")
+        distributed_measure(rho, "magic")
+    with pytest.raises(ValueError):
+        distributed_measure(rho, "dcmax")  # a whole-state measure
+
+
+def test_outcome_entropy_matches_per_row_shannon():
+    # the vectorized form must equal the per-row loop it replaced, bit for bit
+    rng = np.random.default_rng(3)
+    for width in (2, 4):
+        p = rng.uniform(0.0, 1.0, (300, width))
+        p /= p.sum(axis=1, keepdims=True)
+        p[:50, 0] = 0.0
+        p[50:100, 0] = -1e-17
+        p[100:150, -1] = 1e-13
+        p[150:160] = np.eye(width)[0]
+        ref = [shannon_entropy(np.clip(row, 0, None)) for row in p]
+        assert np.array_equal(_outcome_entropy(p), ref)
 
 
 def test_measures_nonnegative_on_noisy_states():
     rho = pure_to_density(random_pure(2, 33))
     out = apply_uniform(rho, make_channel("adc", 0.4))
     for kind in ("cmax", "cd", "lw", "qd", "mi", "ln", "eof"):
-        assert pair_measure(out, kind) >= -1e-9
+        assert distributed_measure(out, kind) >= -1e-9
 
 
 def test_distributed_measure_sums_pairs(w3):

@@ -5,7 +5,7 @@ import pytest
 
 from cclab import oracles
 from cclab.channels import make_channel, apply_uniform
-from cclab.correlators import correlator
+from cclab.correlators import correlator, distributed_correlator
 from cclab.states import PureState, pure_to_density
 from conftest import random_pure
 
@@ -37,8 +37,14 @@ def test_pdc_distributed_multiplier_matches_pair_law(N, p):
 
 
 def test_pdc_distributed_zz_passthrough():
-    assert oracles.pdc_distributed_zz(1.7, 4, 0.5, "z") == 1.7
-    assert oracles.pdc_distributed_zz(1.0, 3, 0.4, "xy") == pytest.approx(0.36)
+    # nodal zz pair sums pass through PDC; xx sums take the distributed multiplier
+    rho = pure_to_density(random_pure(4, 17))
+    out = apply_uniform(rho, make_channel("pdc", 0.4))
+    assert distributed_correlator(out, ("Z", "Z")) == pytest.approx(
+        distributed_correlator(rho, ("Z", "Z")), abs=1e-12)
+    assert distributed_correlator(out, ("X", "X")) == pytest.approx(
+        oracles.pdc_distributed_multiplier(4, 0.4) * distributed_correlator(rho, ("X", "X")),
+        abs=1e-12)
 
 
 def test_dpc_genuine_multiplier_numeric():
@@ -128,8 +134,11 @@ def test_gghz_adc_zz_numeric(theta):
 
 
 def test_gghz_adc_distributed_zz():
-    assert oracles.gghz_adc_distributed_zz(0.7, 0.2, 4) == pytest.approx(
-        3 * oracles.gghz_adc_zz(0.7, 0.2))
+    # every nodal pair of a noisy gGHZ state carries the same zz correlator
+    g = pure_to_density(PureState.generalized_ghz(4, 0.7))
+    out = apply_uniform(g, make_channel("adc", 0.2))
+    assert distributed_correlator(out, ("Z", "Z")) == pytest.approx(
+        3 * abs(oracles.gghz_adc_zz(0.7, 0.2)), abs=1e-12)
 
 
 def test_discrimination_closed_forms_w3():

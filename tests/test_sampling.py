@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cclab.sampling import (FitError, SamplerConfig, decay_rate,
-                            decay_rate_from_summaries, ensemble_sweep,
-                            evaluate_ensemble, fit_bounds, sample_haar,
-                            sample_state, sample_w_class, summarize)
+                            ensemble_sweep, evaluate_ensemble, fit_bounds,
+                            sample_state, summarize)
 
 
 def test_sampler_config_validation():
@@ -36,7 +35,7 @@ def test_sample_independent_of_count():
 
 def test_w_class_support():
     cfg = SamplerConfig(3, ensemble="w_class", count=3, master_seed=0)
-    for psi in sample_w_class(cfg):
+    for psi in (sample_state(cfg, i) for i in range(cfg.count)):
         nz = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
         assert set(nz.tolist()) <= {0, 1, 2, 4}
 
@@ -44,15 +43,10 @@ def test_w_class_support():
 def test_w_class_real_flag():
     cfg = SamplerConfig(3, ensemble="w_class", count=3, master_seed=0,
                         wclass_real_amplitudes=True)
-    for psi in sample_w_class(cfg):
+    for psi in (sample_state(cfg, i) for i in range(cfg.count)):
         assert np.allclose(psi.amplitudes.imag, 0.0)
-
-
-def test_generator_guards():
-    with pytest.raises(ValueError):
-        list(sample_haar(SamplerConfig(3, ensemble="w_class", count=1)))
-    with pytest.raises(ValueError):
-        list(sample_w_class(SamplerConfig(3, count=1)))
+    complex_cfg = SamplerConfig(3, ensemble="w_class", count=1, master_seed=0)
+    assert not np.allclose(sample_state(complex_cfg, 0).amplitudes.imag, 0.0)
 
 
 def test_summarize_moments():
@@ -115,7 +109,7 @@ def test_decay_rate_exact_line():
 def test_decay_rate_from_summaries():
     cfg = SamplerConfig(3, count=20, master_seed=2)
     summaries = ensemble_sweep(cfg, "dpc", [0.2, 0.4, 0.6], ["dcmax"])
-    assert decay_rate_from_summaries(summaries) < 0
+    assert decay_rate([(s.p, s.mean) for s in summaries]) < 0
 
 
 def test_fit_bounds_recovers_band():
