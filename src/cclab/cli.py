@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ValueError(f"direction {self.direction!r} is not one of {tuple(MEASURED_SIDE)}")
         if not 1 <= self.nodal <= self.sampler.n_qubits:
             raise ValueError(f"nodal qubit {self.nodal} outside [1, {self.sampler.n_qubits}]")
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins}")
 
     def canonical(self) -> str:
         obj = asdict(self)
@@ -326,7 +328,7 @@ def _cmd_discriminate(args) -> int:
             for row in csv.DictReader(fh):
                 samples.append((float(row["p"]), float(row["c_before"]),
                                 float(row["c_after"])))
-        trace = discrimination.ProbeTrace(args.N, "gw", (), tuple(samples))
+        trace = discrimination.ProbeTrace(args.N, tuple(samples))
     else:
         probe = discrimination.gw_probe_state(args.alpha, args.beta,
                                               args.gamma1, args.gamma2)

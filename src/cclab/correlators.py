@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .states import DensityMatrix, partial_trace, pauli_expectation
+from .states import DensityMatrix, nodal_pairs, partial_trace, pauli_expectation
 
 MODES = ("same_pauli", "full_search")
 
@@ -84,13 +84,9 @@ def correlator_set(rho: DensityMatrix, mode: str = "same_pauli") -> CorrelatorSe
 
 def distributed_correlator(rho: DensityMatrix, pair_labels, nodal: int = 1) -> float:
     """Sum of pairwise correlators C_{j1 ji} over pairs (nodal, i)."""
-    if not 1 <= nodal <= rho.n_qubits:
-        raise IndexError(f"nodal qubit {nodal} out of range")
     total = 0.0
-    for i in range(1, rho.n_qubits + 1):
-        if i == nodal:
-            continue
-        total += correlator(partial_trace(rho, (nodal, i)), pair_labels)
+    for rho2 in nodal_pairs(rho, nodal):
+        total += correlator(rho2, pair_labels)
     return total
 
 
@@ -98,9 +94,6 @@ def distributed_cmax(rho: DensityMatrix, nodal: int = 1, mode: str = "same_pauli
     """Maximal distributed pair correlator over pairs (nodal, i), with one
     Pauli assignment shared by every pair: max_j sum_i C_{jj}(rho_{1i}).
     The per-pair maxima sum is distributed_measure(rho, "cmax")."""
-    if not 1 <= nodal <= rho.n_qubits:
-        raise IndexError(f"nodal qubit {nodal} out of range")
-    pairs = [partial_trace(rho, (nodal, i))
-             for i in range(1, rho.n_qubits + 1) if i != nodal]
+    pairs = list(nodal_pairs(rho, nodal))
     return max(sum(correlator(r2, labels) for r2 in pairs)
                for labels in _candidates(2, mode))

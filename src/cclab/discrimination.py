@@ -7,20 +7,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, apply_uniform
+from .channels import KrausChannel, apply_uniform, make_channel
 from .correlators import correlator
 from .states import PureState, pure_to_density
 
 LABELS = ("pdc", "adc", "dpc")
+# a difference trace with RMS at most FLAT_THRESHOLD is phase damping
+FLAT_THRESHOLD = 0.025
+# a best-fitting model with RMS residual above RESIDUAL_CAP explains nothing
+RESIDUAL_CAP = 0.5
 
 
 @dataclass(frozen=True)
 class ProbeTrace:
     n_qubits: int
-    probe_kind: str  # "gw" or "gghz"
-    state_params: tuple
     samples: tuple  # ((p, c_before, c_after), ...)
-    xxx_samples: tuple = ()  # optional supplementary all-X trace for gGHZ probes
 
     def __post_init__(self):
         ps = [s[0] for s in self.samples]
@@ -59,13 +60,12 @@ def _fit_affine(p, delta):
     return (float(m), float(c)), _rms(m * p + c - delta)
 
 
-def classify(trace: ProbeTrace, threshold: float = 0.02,
-             flat_threshold: float = 0.025, residual_cap: float = 0.5) -> DiscriminationVerdict:
+def classify(trace: ProbeTrace, threshold: float = 0.02) -> DiscriminationVerdict:
     """Residual competition between the three channel models on the
     difference trace Delta(p) = c_before - c_after.
 
     PDC predicts Delta = 0, ADC an affine dependence on p, DPC the shape
-    c_before * (1 - (1 - 4p/3)^N). The winner must beat the runner-up by
+    c_before * (1 - |1 - 4p/3|^N). The winner must beat the runner-up by
     `threshold`; a flat trace short-circuits to PDC."""
     p = trace.p
     delta = trace.c_before - trace.c_after
@@ -73,46 +73,18 @@ def classify(trace: ProbeTrace, threshold: float = 0.02,
 
     res_pdc = _rms(delta)
     (a, b), res_adc = _fit_affine(p, delta)
-    dpc_model = trace.c_before * (1 - (1 - 4 * p / 3) ** N)
+    dpc_model = trace.c_before * (1 - np.abs(1 - 4 * p / 3) ** N)
     res_dpc = _rms(dpc_model - delta)
     residuals = {"pdc": res_pdc, "adc": res_adc, "dpc": res_dpc}
     params = {"adc": {"slope": a, "intercept": b}}
 
-    if trace.probe_kind == "gghz":
-        return _classify_gghz(trace, residuals, params, threshold, residual_cap)
-
-    if res_pdc <= flat_threshold:
+    if res_pdc <= FLAT_THRESHOLD:
         return DiscriminationVerdict("pdc", residuals, params)
 
-    ranked = sorted(("adc", "dpc"), key=residuals.get)
-    best, second = ranked
-    if residuals[best] > residual_cap:
+    best, second = sorted(("adc", "dpc"), key=residuals.get)
+    if residuals[best] > RESIDUAL_CAP:
         return DiscriminationVerdict("inconclusive", residuals, params)
     if residuals[second] - residuals[best] < threshold:
-        return DiscriminationVerdict("inconclusive", residuals, params)
-    return DiscriminationVerdict(best, residuals, params)
-
-
-def _classify_gghz(trace, residuals, params, threshold, residual_cap):
-    """gGHZ probes cannot split the channels on the z-trace alone (it can even
-    vanish identically at theta = pi/2); require a supplementary all-X trace
-    where PDC leaves the correlator unchanged, ADC scales it as (1-p)^(N/2)
-    and DPC as (1 - 4p/3)^N."""
-    if not trace.xxx_samples:
-        return DiscriminationVerdict("inconclusive", residuals, params)
-    px = np.array([s[0] for s in trace.xxx_samples])
-    xb = np.array([s[1] for s in trace.xxx_samples])
-    xa = np.array([s[2] for s in trace.xxx_samples])
-    N = trace.n_qubits
-    xres = {"pdc": _rms(xb - xa),
-            "adc": _rms(xb * (1 - px) ** (N / 2) - xa),
-            "dpc": _rms(xb * np.abs(1 - 4 * px / 3) ** N - xa)}
-    residuals = dict(residuals, **{k + "_xxx": v for k, v in xres.items()})
-    ranked = sorted(xres, key=xres.get)
-    best, second = ranked[0], ranked[1]
-    if xres[best] > residual_cap:
-        return DiscriminationVerdict("inconclusive", residuals, params)
-    if xres[second] - xres[best] < threshold:
         return DiscriminationVerdict("inconclusive", residuals, params)
     return DiscriminationVerdict(best, residuals, params)
 
@@ -128,8 +100,7 @@ def gw_probe_state(alpha: float, beta: float, gamma1: float = 0.0,
 
 
 def generate_probe_trace(probe: PureState, channel: KrausChannel, p_values,
-                         noise_sigma: float = 0.0, rng=None,
-                         probe_kind: str = "gw", with_xxx: bool = False) -> ProbeTrace:
+                         noise_sigma: float = 0.0, rng=None) -> ProbeTrace:
     """Run the numeric channel engine on two copies of the probe and record
     before/after all-z genuine correlators, optionally with Gaussian
     measurement noise of width `noise_sigma`."""
@@ -138,30 +109,13 @@ def generate_probe_trace(probe: PureState, channel: KrausChannel, p_values,
     n = probe.n_qubits
     rho = pure_to_density(probe)
     zlabels = ("Z",) * n
-    xlabels = ("X",) * n
-    cb_z = correlator(rho, zlabels)
-    cb_x = correlator(rho, xlabels)
-    samples, xsamples = [], []
+    cb = correlator(rho, zlabels)
+    samples = []
     for p in p_values:
-        ch = channel if channel.p == p else _with_strength(channel, p)
-        out = apply_uniform(rho, ch)
-        ca = correlator(out, zlabels)
-        b, a = cb_z, ca
+        ch = channel if channel.p == p else make_channel(channel.kind, p)
+        b, a = cb, correlator(apply_uniform(rho, ch), zlabels)
         if noise_sigma > 0:
             b = float(np.clip(b + rng.normal(0, noise_sigma), 0, 1))
             a = float(np.clip(a + rng.normal(0, noise_sigma), 0, 1))
         samples.append((float(p), b, a))
-        if with_xxx:
-            cax = correlator(out, xlabels)
-            bx, ax = cb_x, cax
-            if noise_sigma > 0:
-                bx = float(np.clip(bx + rng.normal(0, noise_sigma), 0, 1))
-                ax = float(np.clip(ax + rng.normal(0, noise_sigma), 0, 1))
-            xsamples.append((float(p), bx, ax))
-    return ProbeTrace(n, probe_kind, tuple(np.round(np.abs(probe.amplitudes), 12)),
-                      tuple(samples), tuple(xsamples))
-
-
-def _with_strength(channel: KrausChannel, p: float) -> KrausChannel:
-    from .channels import make_channel
-    return make_channel(channel.kind, p)
+    return ProbeTrace(n, tuple(samples))

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import correlators
-from .states import (DensityMatrix, PAULI, partial_trace, partial_transpose,
-                     von_neumann_entropy)
+from .states import (DensityMatrix, PAULI, nodal_pairs, partial_trace,
+                     partial_transpose, shannon_entropy, von_neumann_entropy)
 
 GRID_PHI = 60
 GRID_THETA = 30
@@ -79,13 +79,6 @@ def _eig2x2_entropy(mats: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.sum(probs * ent, axis=-1)
 
 
-def _outcome_entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row of outcome probabilities, in bits."""
-    p = np.clip(probs, 0.0, None)
-    keep = p > 1e-12
-    return -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
-
-
 def _conditional_states(rho4: np.ndarray, measured_first: bool, T: np.ndarray):
     """Unnormalized post-measurement states of the unmeasured qubit and the
     outcome probabilities for every basis in T. rho4 is the density matrix
@@ -106,7 +99,7 @@ def _one_sided_entropy(rho4, T):
     """Entropy after dephasing the first qubit in each basis of T:
     H(outcomes) + average conditional entropy of the second qubit."""
     cond, probs = _conditional_states(rho4, True, T)
-    return _eig2x2_entropy(cond, probs) + _outcome_entropy(probs)
+    return _eig2x2_entropy(cond, probs) + shannon_entropy(probs)
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided",
     best = float(ent[a0, b0])
     x0 = [tg[a0], pg[a0], tg[b0], pg[b0]]
     if refine:
-        res = _refine(lambda x: float(_outcome_entropy(_dephased_probs(
+        res = _refine(lambda x: float(shannon_entropy(_dephased_probs(
             rho4, _projectors(x[0], x[1])[None], _projectors(x[2], x[3])[None]).ravel())),
             x0, maxiter=600)
         best = min(best, float(res.fun))
@@ -269,14 +262,10 @@ def distributed_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
     pair, f = MEASURES[kind]
     if not pair:
         raise ValueError(f"{kind!r} is a whole-state measure, not a pair measure")
-    if not 1 <= nodal <= rho.n_qubits:
-        raise IndexError(f"nodal qubit {nodal} out of range")
     measured = MEASURED_SIDE[direction]
     total = 0.0
-    for i in range(1, rho.n_qubits + 1):
-        if i == nodal:
-            continue
-        total += f(partial_trace(rho, (nodal, i)), measured)
+    for rho2 in nodal_pairs(rho, nodal):
+        total += f(rho2, measured)
     return total
 
 
@@ -298,12 +287,11 @@ def koashi_winter_check(rho: DensityMatrix, nodal: int = 1, refine: bool = True,
     n = rho.n_qubits
     if n < 3:
         raise ValueError("need at least 3 qubits")
-    partners = [i for i in range(1, n + 1) if i != nodal]
+    pairs = list(nodal_pairs(rho, nodal))
     lhs = 0.0
-    for j, i in enumerate(partners):
-        nxt = partners[(j + 1) % len(partners)]
-        lhs += entanglement_of_formation(partial_trace(rho, (nodal, i)))
-        lhs += classical_discord_detailed(partial_trace(rho, (nodal, nxt)),
+    for j, rho2 in enumerate(pairs):
+        lhs += entanglement_of_formation(rho2)
+        lhs += classical_discord_detailed(pairs[(j + 1) % len(pairs)],
                                           "second", grid=grid, refine=refine).value
     bound = (n - 1) * von_neumann_entropy(partial_trace(rho, (nodal,)))
     return {"lhs": lhs, "bound": bound, "holds": lhs <= bound + 1e-8}

@@ -12,6 +12,7 @@ import numpy as np
 
 from .channels import make_channel, apply_uniform
 from .correlators import correlator
+from .sampling import SamplerConfig, sample_state
 from .states import DensityMatrix, PureState, pure_to_density
 
 
@@ -39,18 +40,6 @@ def pdc_multiplier(N: int, k: int, p: float, plane: str = "xy") -> float:
     if plane == "z":
         return 1.0
     return pdc_xy_multiplier(N, k, p)
-
-
-def pdc_distributed_multiplier(N: int, p: float) -> float:
-    """Coefficient mapping the noiseless nodal pair-correlator sum to its
-    value after uniform PDC (xy-plane pairs); the r < 2 terms are grouped
-    into the (1 - p/2)^(N-1) (1 - 5p/2 + Np/2) prefactor."""
-    head = (1 - p / 2) ** (N - 1) * (1 - 5 * p / 2 + N * p / 2)
-    tail = 0.0
-    for r in range(2, N + 1):
-        coeff = sum((-1) ** q * comb(2, q) * comb(N - 2, r - q) for q in range(3))
-        tail += coeff * (p / 2) ** r * (1 - p / 2) ** (N - r)
-    return head + tail
 
 
 def dpc_genuine_multiplier(N: int, p: float) -> float:
@@ -81,14 +70,14 @@ def gw_adc_final_state(amplitudes, p: float) -> DensityMatrix:
     return DensityMatrix(psi.n_qubits, rho, validate=False)
 
 
-def gw_adc_z_correlator(amplitudes, k: int, p: float, signed: bool = False) -> float:
+def gw_adc_z_correlator(amplitudes, k: int, p: float) -> float:
     """k-site z-direction correlator of a generalized W state after uniform
-    amplitude damping: p + (1-p) * sum_i (-1)^theta(k-i) |a_i|^2 with
+    amplitude damping: |p + (1-p) * sum_i (-1)^theta(k-i) |a_i|^2| with
     theta(x) = 1 for x <= 0 and 0 otherwise.
 
-    Note this closed form uses an index-placement convention that differs from
-    the leading-sites marginal (see gw_adc_z_correlator_leading); the signed
-    flag skips the rescaling absolute value."""
+    In this index convention term i carries eigenvalue -1 when i >= k, so it
+    is not the marginal on the k leftmost sites: at k = N it gives
+    (1 + 2p)/3 for the W^3 state, whose all-z correlator is |1 - 2p|."""
     a = np.asarray(amplitudes, dtype=complex)
     if abs(np.sum(np.abs(a) ** 2) - 1.0) > 1e-10:
         raise ValueError("gW amplitudes must be normalized")
@@ -96,34 +85,7 @@ def gw_adc_z_correlator(amplitudes, k: int, p: float, signed: bool = False) -> f
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}")
     total = sum((1.0 if k - (i + 1) > 0 else -1.0) * abs(a[i]) ** 2 for i in range(N))
-    val = p + (1 - p) * total
-    return val if signed else abs(val)
-
-
-def gw_adc_z_correlator_leading(amplitudes, k: int, p: float, signed: bool = False) -> float:
-    """Same quantity for the z-correlator on the k leftmost sites, derived
-    directly from the (1-p)|gW><gW| + p|0...0><0...0| output state.
-
-    With a_i holding the excitation at basis integer 2^(i-1), the excitation
-    of term i sits at site N-i+1 from the left, so terms with i > N-k carry
-    eigenvalue -1."""
-    a = np.asarray(amplitudes, dtype=complex)
-    if abs(np.sum(np.abs(a) ** 2) - 1.0) > 1e-10:
-        raise ValueError("gW amplitudes must be normalized")
-    N = a.shape[0]
-    if not 1 <= k <= N:
-        raise ValueError(f"need 1 <= k <= N, got k={k}")
-    total = sum((-1.0 if (i + 1) > N - k else 1.0) * abs(a[i]) ** 2 for i in range(N))
-    val = p + (1 - p) * total
-    return val if signed else abs(val)
-
-
-def gw_pair_xx(amplitudes, i: int, p: float, signed: bool = False) -> float:
-    """Two-site C_xx = C_yy = (1-p)(a_1 a_i^* + a_i a_1^*) for the (1, i)
-    reduced pair of a noisy gW state."""
-    a = np.asarray(amplitudes, dtype=complex)
-    val = (1 - p) * (2 * (a[0] * a[i - 1].conj()).real)
-    return val if signed else abs(val)
+    return abs(p + (1 - p) * total)
 
 
 def gghz_adc_zz(theta: float, p: float) -> float:
@@ -132,27 +94,13 @@ def gghz_adc_zz(theta: float, p: float) -> float:
     return 1 - 2 * p * (1 - p) * (1 - np.cos(theta))
 
 
-def discrimination_closed_forms(N: int, p: float, c_before: float = 1.0) -> dict:
-    """All-z genuine correlator of a gW^N probe after each channel, in the
-    rescaled |.| convention.
-
-    The noiseless gW value is 1 (every branch holds exactly one excitation),
-    so ADC gives |2p - 1| and DPC scales by |1 - 4p/3|^N."""
-    return {
-        "pdc": c_before,
-        "adc": abs((1 - p) * (-c_before) + p),
-        "dpc": abs(1 - 4 * p / 3) ** N * c_before,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Equivalence sweep: numeric channel engine vs the closed forms above.
 
-def _haar_states(n: int, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        a = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        yield PureState(n, a / np.linalg.norm(a))
+def _max_dev(states, outs, labels, mult: float = 1.0) -> float:
+    """Largest |C(out) - mult * C(in)| over paired input/output states."""
+    return max(abs(correlator(o, labels) - mult * correlator(r, labels))
+               for r, o in zip(states, outs))
 
 
 def oracle_equivalence_sweep(n_values=(2, 3, 4, 5), p_values=None,
@@ -166,38 +114,31 @@ def oracle_equivalence_sweep(n_values=(2, 3, 4, 5), p_values=None,
         p_values = [round(0.1 * i, 10) for i in range(11)]
     rows = []
     for n in n_values:
-        states = [pure_to_density(s) for s in _haar_states(n, states_per_cell, seed + n)]
+        cfg = SamplerConfig(n, count=states_per_cell, master_seed=seed + n)
+        states = [pure_to_density(sample_state(cfg, i)) for i in range(states_per_cell)]
         for p in p_values:
             ch = {kind: make_channel(kind, p) for kind in ("pdc", "dpc", "adc")}
             out = {kind: [apply_uniform(r, c) for r in states] for kind, c in ch.items()}
             for k in range(1, n + 1):
                 labels = ("X",) * k + ("I",) * (n - k)
-                mult = pdc_xy_multiplier(n, k, p)
-                dev = max(abs(correlator(o, labels) - mult * correlator(r, labels))
-                          for r, o in zip(states, out["pdc"]))
+                dev = _max_dev(states, out["pdc"], labels, pdc_xy_multiplier(n, k, p))
                 rows.append({"check": "pdc_xy", "N": n, "k": k, "p": p, "max_dev": dev})
 
                 zlabels = ("Z",) * k + ("I",) * (n - k)
-                dev = max(abs(correlator(o, zlabels) - correlator(r, zlabels))
-                          for r, o in zip(states, out["pdc"]))
+                dev = _max_dev(states, out["pdc"], zlabels)
                 rows.append({"check": "pdc_z_invariance", "N": n, "k": k, "p": p, "max_dev": dev})
 
-                amult = adc_xy_multiplier(k, p)
-                dev = max(abs(correlator(o, labels) - amult * correlator(r, labels))
-                          for r, o in zip(states, out["adc"]))
+                dev = _max_dev(states, out["adc"], labels, adc_xy_multiplier(k, p))
                 rows.append({"check": "adc_xy", "N": n, "k": k, "p": p, "max_dev": dev})
 
             dmult = abs(dpc_genuine_multiplier(n, p))
             for lab in ("X", "Y", "Z"):
-                glabels = (lab,) * n
-                dev = max(abs(correlator(o, glabels) - dmult * correlator(r, glabels))
-                          for r, o in zip(states, out["dpc"]))
+                dev = _max_dev(states, out["dpc"], (lab,) * n, dmult)
                 rows.append({"check": f"dpc_genuine_{lab.lower()}", "N": n, "k": n,
                              "p": p, "max_dev": dev})
             if include_mixed_pauli_dpc and n >= 2:
                 mlabels = ("X", "Z") + ("Y",) * (n - 2)
-                dev = max(abs(correlator(o, mlabels) - dmult * correlator(r, mlabels))
-                          for r, o in zip(states, out["dpc"]))
+                dev = _max_dev(states, out["dpc"], mlabels, dmult)
                 rows.append({"check": "dpc_genuine_mixed", "N": n, "k": n,
                              "p": p, "max_dev": dev})
 

@@ -32,6 +32,8 @@ class SamplerConfig:
     wclass_real_amplitudes: bool = False
 
     def __post_init__(self):
+        if self.n_qubits < 2:
+            raise ValueError(f"n_qubits must be >= 2, got {self.n_qubits}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.count < 1:

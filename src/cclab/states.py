@@ -194,6 +194,16 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(keep0), out, validate=False)
 
 
+def nodal_pairs(rho: DensityMatrix, nodal: int):
+    """Yield the reduced two-qubit states (nodal, i) for every i != nodal,
+    in increasing i."""
+    if not 1 <= nodal <= rho.n_qubits:
+        raise IndexError(f"nodal qubit {nodal} out of range")
+    for i in range(1, rho.n_qubits + 1):
+        if i != nodal:
+            yield partial_trace(rho, (nodal, i))
+
+
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
     """Transpose the given qubits. Result is Hermitian, trace 1, possibly
     non-positive, so a plain matrix is returned."""
@@ -217,10 +227,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
-def shannon_entropy(probs: np.ndarray) -> float:
-    p = np.asarray(probs, dtype=float)
-    p = p[p > 1e-12]
-    return float(-np.sum(p * np.log2(p)))
+def shannon_entropy(probs) -> np.ndarray:
+    """Shannon entropy of each row (last axis) of outcome probabilities, in
+    bits; negative entries count as zero."""
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    keep = p > 1e-12
+    return -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
 
 
 def pauli_operator(labels) -> np.ndarray:

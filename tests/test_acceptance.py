@@ -56,7 +56,7 @@ def test_criterion_3_distributed_cmax_table():
     parts, ok = [], True
     for ch, n, p, mean_t, std_t in targets:
         cfg = SamplerConfig(n_qubits=n, count=10000, master_seed=11)
-        v = evaluate_ensemble(cfg, ch, p, ["dcmax"], threads=8)[:, 0]
+        v = evaluate_ensemble(cfg, ch, p, ["dcmax"], threads=1)[:, 0]
         mean, std = float(np.mean(v)), float(np.std(v))
         cell = abs(mean - mean_t) <= 0.02 and abs(std - std_t) <= 0.02
         ok = ok and cell
@@ -71,7 +71,7 @@ def test_criterion_4_discord_and_local_work_tables():
     parts, ok = [], True
 
     cfg = SamplerConfig(n_qubits=3, count=1000, master_seed=11)
-    v = evaluate_ensemble(cfg, "pdc", 0.2, ["lw", "lw_half"], threads=8)
+    v = evaluate_ensemble(cfg, "pdc", 0.2, ["lw", "lw_half"], threads=1)
     lw2, lwh = float(np.mean(v[:, 0])), float(np.mean(v[:, 1]))
     lw_ok = min(abs(lw2 - 0.583), abs(lwh - 0.583)) <= 0.05
     ok = ok and lw_ok
@@ -79,14 +79,14 @@ def test_criterion_4_discord_and_local_work_tables():
                  f"half one-sided {lwh:.3f} (at least one within 0.05: {lw_ok})")
 
     cfg = SamplerConfig(n_qubits=3, count=1000, master_seed=11)
-    v = evaluate_ensemble(cfg, "dpc", 0.6, ["cd"], threads=8)[:, 0]
+    v = evaluate_ensemble(cfg, "dpc", 0.6, ["cd"], threads=1)[:, 0]
     cd_dpc = float(np.mean(v))
     cell = abs(cd_dpc - 0.001) <= 0.005
     ok = ok and cell
     parts.append(f"D^CD dpc N3 p0.6: {cd_dpc:.4f} (target 0.001 +- 0.005)")
 
     cfg = SamplerConfig(n_qubits=4, count=1000, master_seed=11)
-    v = evaluate_ensemble(cfg, "adc", 0.2, ["cd"], threads=8)[:, 0]
+    v = evaluate_ensemble(cfg, "adc", 0.2, ["cd"], threads=1)[:, 0]
     cd_adc = float(np.mean(v))
     cell = abs(cd_adc - 0.457) <= 0.05
     ok = ok and cell
@@ -184,13 +184,13 @@ def test_criterion_8_decay_rates():
         cfg = SamplerConfig(n_qubits=3, ensemble=ens, count=2000, master_seed=11)
         means = []
         for p in (0.2, 0.4, 0.6):
-            v = evaluate_ensemble(cfg, "pdc", p, ["dcmax"], threads=8)[:, 0]
+            v = evaluate_ensemble(cfg, "pdc", p, ["dcmax"], threads=1)[:, 0]
             means.append((p, float(np.mean(v))))
         rates[label] = decay_rate(means)
     cfg = SamplerConfig(n_qubits=3, count=2000, master_seed=11)
     means = []
     for p in (0.2, 0.4, 0.6):
-        v = evaluate_ensemble(cfg, "adc", p, ["dcmax"], threads=8)[:, 0]
+        v = evaluate_ensemble(cfg, "adc", p, ["dcmax"], threads=1)[:, 0]
         means.append((p, float(np.mean(v))))
     r_adc = decay_rate(means)
 

@@ -50,6 +50,9 @@ def test_config_validation(tmp_path):
             cli.config_from_dict({"measures": ["mi"], "nodal": nodal,
                                   "sampler": {"n_qubits": 3}})
     assert cli.config_from_dict({"measures": ["mi"], "nodal": 3}).nodal == 3
+    for bins in (0, -3):
+        with pytest.raises(ValueError, match="bins"):
+            cli.config_from_dict({"measures": ["mi"], "bins": bins})
 
 
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys):
@@ -57,6 +60,20 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cclab: error: ") and "sideways" in err
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_one_qubit_sampler_rejected(tmp_path, capsys):
+    # every pair measure of one qubit is an empty sum, so a sweep would write
+    # all-zero statistics
+    with pytest.raises(ValueError, match="n_qubits"):
+        cli.config_from_dict({"measures": ["mi"], "sampler": {"n_qubits": 1}})
+    path = write_config(tmp_path, sampler={"n_qubits": 1, "count": 3},
+                        measures=["mi", "cd"])
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and "n_qubits" in err
     assert len(err.splitlines()) == 1
     assert not os.path.exists(tmp_path / "out")
 

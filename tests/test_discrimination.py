@@ -6,16 +6,15 @@ import pytest
 from cclab.channels import make_channel
 from cclab.discrimination import (ProbeTrace, classify, generate_probe_trace,
                                   gw_probe_state)
-from cclab.states import PureState
 
 P_GRID = list(np.linspace(0.05, 0.5, 11))
 
 
 def test_probe_trace_validation():
     with pytest.raises(ValueError):
-        ProbeTrace(3, "gw", (), ((0.1, 1.0, 0.9), (0.1, 1.0, 0.8), (0.1, 1.0, 0.7)))
+        ProbeTrace(3, ((0.1, 1.0, 0.9), (0.1, 1.0, 0.8), (0.1, 1.0, 0.7)))
     with pytest.raises(ValueError):
-        ProbeTrace(3, "gw", (), ((0.1, 1.5, 0.9), (0.2, 1.0, 0.8), (0.3, 1.0, 0.7)))
+        ProbeTrace(3, ((0.1, 1.5, 0.9), (0.2, 1.0, 0.8), (0.3, 1.0, 0.7)))
 
 
 def test_gw_probe_state_is_single_excitation():
@@ -52,19 +51,20 @@ def test_classify_with_noise():
         assert classify(trace).label == kind
 
 
-def test_gghz_z_trace_inconclusive():
-    probe = PureState.generalized_ghz(3, 0.8)
-    trace = generate_probe_trace(probe, make_channel("adc", 0.1), P_GRID,
-                                 probe_kind="gghz")
-    assert classify(trace).label == "inconclusive"
-
-
-@pytest.mark.parametrize("kind", ["adc", "dpc"])
-def test_gghz_resolved_by_xxx_trace(kind):
-    probe = PureState.generalized_ghz(3, np.pi / 2)
-    trace = generate_probe_trace(probe, make_channel(kind, 0.1), P_GRID,
-                                 probe_kind="gghz", with_xxx=True)
-    assert classify(trace).label == kind
+@pytest.mark.parametrize("lo", [0.55, 0.8])
+def test_classify_noiseless_dpc_past_three_quarters(lo):
+    # 1 - 4p/3 turns negative at p = 3/4; the rescaled correlator follows
+    # |1 - 4p/3|^N, and so must the DPC model
+    probe = gw_probe_state(0.9, 0.7)
+    trace = generate_probe_trace(probe, make_channel("dpc", lo),
+                                 list(np.linspace(lo, 1.0, 11)))
+    verdict = classify(trace)
+    assert verdict.residuals["dpc"] < 1e-12
+    # here the trace is within 0.01 RMS of a line, so the default margin
+    # may withhold a verdict but must not pick ADC
+    assert verdict.label in ("dpc", "inconclusive")
+    # a noiseless trace needs no noise margin
+    assert classify(trace, threshold=1e-3).label == "dpc"
 
 
 def test_ambiguous_trace_is_inconclusive():
@@ -72,6 +72,6 @@ def test_ambiguous_trace_is_inconclusive():
     p = np.array([0.1, 0.3, 0.5])
     delta = np.array([0.3, 0.3, 0.3])  # flat but too large for the PDC gate
     samples = tuple((float(pi), 1.0, float(1.0 - d)) for pi, d in zip(p, delta))
-    verdict = classify(ProbeTrace(3, "gw", (), samples))
+    verdict = classify(ProbeTrace(3, samples))
     assert verdict.label in ("inconclusive", "adc")  # never dpc on a flat offset
     assert verdict.label != "dpc"

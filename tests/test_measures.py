@@ -9,8 +9,7 @@ from cclab.measures import (classical_discord, classical_discord_detailed,
                             entanglement_of_formation, koashi_winter_check,
                             local_work, log_negativity, mutual_information,
                             quantum_discord)
-from cclab.measures import _outcome_entropy
-from cclab.states import DensityMatrix, PureState, pure_to_density, shannon_entropy
+from cclab.states import DensityMatrix, PureState, pure_to_density
 from conftest import random_density, random_pure
 
 
@@ -106,20 +105,6 @@ def test_pair_measure_dispatch():
         distributed_measure(rho, "magic")
     with pytest.raises(ValueError):
         distributed_measure(rho, "dcmax")  # a whole-state measure
-
-
-def test_outcome_entropy_matches_per_row_shannon():
-    # the vectorized form must equal the per-row loop it replaced, bit for bit
-    rng = np.random.default_rng(3)
-    for width in (2, 4):
-        p = rng.uniform(0.0, 1.0, (300, width))
-        p /= p.sum(axis=1, keepdims=True)
-        p[:50, 0] = 0.0
-        p[50:100, 0] = -1e-17
-        p[100:150, -1] = 1e-13
-        p[150:160] = np.eye(width)[0]
-        ref = [shannon_entropy(np.clip(row, 0, None)) for row in p]
-        assert np.array_equal(_outcome_entropy(p), ref)
 
 
 def test_measures_nonnegative_on_noisy_states():

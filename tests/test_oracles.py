@@ -28,22 +28,14 @@ def test_pdc_xy_validation():
         oracles.pdc_xy_multiplier(3, 2, 1.2)
 
 
-@pytest.mark.parametrize("N", [3, 4, 5])
-@pytest.mark.parametrize("p", [0.1, 0.4, 0.8])
-def test_pdc_distributed_multiplier_matches_pair_law(N, p):
-    # grouped form must agree with the plain k=2 multiplier
-    assert oracles.pdc_distributed_multiplier(N, p) == pytest.approx(
-        oracles.pdc_xy_multiplier(N, 2, p), abs=1e-12)
-
-
 def test_pdc_distributed_zz_passthrough():
-    # nodal zz pair sums pass through PDC; xx sums take the distributed multiplier
+    # nodal zz pair sums pass through PDC; xx sums take the k = 2 multiplier
     rho = pure_to_density(random_pure(4, 17))
     out = apply_uniform(rho, make_channel("pdc", 0.4))
     assert distributed_correlator(out, ("Z", "Z")) == pytest.approx(
         distributed_correlator(rho, ("Z", "Z")), abs=1e-12)
     assert distributed_correlator(out, ("X", "X")) == pytest.approx(
-        oracles.pdc_distributed_multiplier(4, 0.4) * distributed_correlator(rho, ("X", "X")),
+        oracles.pdc_xy_multiplier(4, 2, 0.4) * distributed_correlator(rho, ("X", "X")),
         abs=1e-12)
 
 
@@ -81,47 +73,19 @@ def test_gw_adc_z_correlator_w3_full_weight():
     p = 0.3
     # the closed form gives (1 + 2p)/3 for the genuine W^3 correlator
     assert oracles.gw_adc_z_correlator(w_amps, 3, p) == pytest.approx((1 + 2 * p) / 3)
-    # the leading-sites variant agrees with the numeric engine instead
-    lead = oracles.gw_adc_z_correlator_leading(w_amps, 3, p)
+    # the engine's all-z correlator of the W^3 output is |1 - 2p|, the same
+    # number the exact output state gives
     numeric = correlator(
         apply_uniform(pure_to_density(PureState.w_state(3)), make_channel("adc", p)),
         ("Z", "Z", "Z"))
-    assert lead == pytest.approx(numeric, abs=1e-12)
-    assert lead == pytest.approx(abs(1 - 2 * p), abs=1e-12)
-
-
-def test_gw_adc_z_correlator_leading_partial_weight():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a /= np.linalg.norm(a)
-    p = 0.25
-    for k in (1, 2):
-        numeric = correlator(
-            apply_uniform(pure_to_density(PureState.generalized_w(a)),
-                          make_channel("adc", p)),
-            ("Z",) * k + ("I",) * (3 - k))
-        assert oracles.gw_adc_z_correlator_leading(a, k, p) == pytest.approx(
-            numeric, abs=1e-12)
+    exact = correlator(oracles.gw_adc_final_state(w_amps, p), ("Z", "Z", "Z"))
+    assert numeric == pytest.approx(exact, abs=1e-12)
+    assert numeric == pytest.approx(abs(1 - 2 * p), abs=1e-12)
 
 
 def test_gw_adc_z_correlator_rejects_unnormalized():
     with pytest.raises(ValueError):
         oracles.gw_adc_z_correlator([1.0, 1.0], 1, 0.2)
-
-
-def test_gw_pair_xx_numeric():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a /= np.linalg.norm(a)
-    p = 0.3
-    out = apply_uniform(pure_to_density(PureState.generalized_w(a)),
-                        make_channel("adc", p))
-    # term i's excitation sits at basis integer 2^(i-1), i.e. site N-i+1;
-    # the (site N, site N-i+1) pair carries the a_1 a_i^* coherence
-    from cclab.states import partial_trace
-    pair = partial_trace(out, (2, 3))
-    assert oracles.gw_pair_xx(a, 2, p) == pytest.approx(
-        correlator(pair, ("X", "X")), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, np.pi])
@@ -139,13 +103,6 @@ def test_gghz_adc_distributed_zz():
     out = apply_uniform(g, make_channel("adc", 0.2))
     assert distributed_correlator(out, ("Z", "Z")) == pytest.approx(
         3 * abs(oracles.gghz_adc_zz(0.7, 0.2)), abs=1e-12)
-
-
-def test_discrimination_closed_forms_w3():
-    forms = oracles.discrimination_closed_forms(3, 0.3)
-    assert forms["pdc"] == 1.0
-    assert forms["adc"] == pytest.approx(abs(2 * 0.3 - 1))
-    assert forms["dpc"] == pytest.approx(abs(1 - 0.4) ** 3)
 
 
 def test_equivalence_sweep_small():

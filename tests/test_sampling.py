@@ -15,6 +15,8 @@ def test_sampler_config_validation():
         SamplerConfig(3, count=0)
     with pytest.raises(ValueError):
         SamplerConfig(4, ensemble="w_class")
+    with pytest.raises(ValueError, match="n_qubits"):
+        SamplerConfig(1)
 
 
 def test_sample_determinism():
