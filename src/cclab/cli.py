@@ -18,7 +18,7 @@ import numpy as np
 from . import discrimination, oracles
 from .channels import KINDS, make_channel
 from .correlators import correlator, genuine_max, parse_index
-from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_measure
+from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_measures
 from .sampling import (SamplerConfig, decay_rate, ensemble_sweep,
                        evaluate_ensemble, fit_bounds)
 from .states import load_state
@@ -85,27 +85,42 @@ def _check_keys(obj: dict, cls, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+_JSON_TYPES = {int: "integer", bool: "boolean", list: "array", dict: "object"}
+
+
+def _get(obj: dict, key: str, default, kind):
+    """obj[key] (or default), which must be of JSON type `kind`: no silent
+    casts, and a boolean is not an integer."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def config_from_dict(obj: dict) -> ExperimentConfig:
     _check_keys(obj, ExperimentConfig, "config")
-    sam = obj.get("sampler", {})
+    sam = _get(obj, "sampler", {}, dict)
     _check_keys(sam, SamplerConfig, "sampler")
     sampler = SamplerConfig(
-        n_qubits=int(sam.get("n_qubits", 3)),
+        n_qubits=_get(sam, "n_qubits", 3, int),
         ensemble=sam.get("ensemble", "haar"),
-        count=int(sam.get("count", 1000)),
-        master_seed=int(sam.get("master_seed", 0)),
-        wclass_real_amplitudes=bool(sam.get("wclass_real_amplitudes", False)))
+        count=_get(sam, "count", 1000, int),
+        master_seed=_get(sam, "master_seed", 0, int),
+        wclass_real_amplitudes=_get(sam, "wclass_real_amplitudes", False, bool))
+    p_grid = _get(obj, "p_grid", [0.0], list)
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in p_grid):
+        raise ValueError(f"p_grid must be a JSON array of numbers, got {json.dumps(p_grid)}")
     return ExperimentConfig(
         experiment=obj.get("experiment", "sweep"),
         sampler=sampler,
-        channels=tuple(obj.get("channels", ["pdc"])),
-        p_grid=tuple(float(p) for p in obj.get("p_grid", [0.0])),
-        measures=tuple(obj.get("measures", [])),
-        nodal=int(obj.get("nodal", 1)),
+        channels=tuple(_get(obj, "channels", ["pdc"], list)),
+        p_grid=tuple(float(p) for p in p_grid),
+        measures=tuple(_get(obj, "measures", [], list)),
+        nodal=_get(obj, "nodal", 1, int),
         direction=obj.get("direction", "left"),
-        bins=int(obj.get("bins", 50)),
+        bins=_get(obj, "bins", 50, int),
         output_dir=obj.get("output_dir", os.environ.get(OUTPUT_ENV, ".")),
-        threads=int(obj.get("threads", 1)))
+        threads=_get(obj, "threads", 1, int))
 
 
 @dataclass
@@ -175,8 +190,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 # Recipes
 
 def recipe_fig1_wstate(outdir: str, points: int = 21) -> str:
-    """All-z genuine correlator of the 3-qubit W state vs noise strength,
-    per channel, from the closed-form channel transforms."""
+    """Z correlators of the 3-qubit W state vs noise strength, from the closed
+    forms: the pdc and dpc columns are the all-z |<ZZZ>| (1 and |1 - 4p/3|^3),
+    the adc column is gw_adc_z_correlator(w, 3, p) = (1 + 2p)/3, which is the
+    one-site |<Z_1>| of that state (its |<ZZZ>| is |1 - 2p|)."""
     w_amps = np.full(3, 1 / np.sqrt(3))
     rows = []
     for p in np.linspace(0.0, 1.0, points):
@@ -198,7 +215,6 @@ def recipe_table(channel: str, measure: str, outdir: str, count: int,
                                 threads=threads):
             rows.append((str(n), s.p, s.mean, s.std_dev, s.median, s.skewness,
                          s.moment_skewness))
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"table_{measure}_{channel}.csv")
     _write_csv(path, ["N", "p", "mean", "std", "median", "skewness",
                       "moment_skewness"], rows)
@@ -221,7 +237,6 @@ def recipe_ghzw_decay(channel: str, outdir: str, count: int, seed: int,
             vals = evaluate_ensemble(cfg, channel, p, ["dcmax"], threads=threads)[:, 0]
             means.append((p, float(np.mean(vals))))
         rows.append((label, decay_rate(means)))
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"decay_rate_{channel}.csv")
     _write_csv(path, ["ensemble", "decay_rate"], rows)
     return path
@@ -234,7 +249,6 @@ def recipe_bound_fit(channel: str, outdir: str, count: int, seed: int,
     cfg = SamplerConfig(n_qubits=n_qubits, count=count, master_seed=seed)
     vals = evaluate_ensemble(cfg, channel, p, ["mi", "cd"], threads=threads)
     bf = fit_bounds(vals[:, 0], vals[:, 1], bin_count)
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"bounds_{channel}_N{n_qubits}_p{p:g}.csv")
     _write_csv(path, ["m_u", "c_u", "m_l", "c_l", "bins", "residual"],
                [(bf.m_u, bf.c_u, bf.m_l, bf.c_l, bf.bin_count, bf.residual)])
@@ -275,8 +289,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     ch = args.channel
     if ch == "pdc":
-        value = oracles.pdc_multiplier(args.N, args.k, args.p,
-                                       "z" if args.plane == "z" else "xy")
+        value = oracles.pdc_multiplier(args.N, args.k, args.p, args.plane)
     elif ch == "dpc":
         value = oracles.dpc_genuine_multiplier(args.N, args.p)
     else:
@@ -304,8 +317,8 @@ def _cmd_measure(args) -> int:
     rho = load_state(args.state)
     if not 1 <= args.nodal <= rho.n_qubits:
         raise ValueError(f"nodal qubit {args.nodal} outside [1, {rho.n_qubits}]")
-    value = evaluate_measure(rho, args.kind, args.nodal, args.direction)
-    print(json.dumps({"value": float(value), "kind": args.kind, "converged": True}))
+    value, = evaluate_measures(rho, [args.kind], args.nodal, args.direction)
+    print(json.dumps({"value": float(value), "kind": args.kind}))
     return 0
 
 
@@ -332,6 +345,8 @@ def _cmd_discriminate(args) -> int:
     else:
         probe = discrimination.gw_probe_state(args.alpha, args.beta,
                                               args.gamma1, args.gamma2)
+        if args.N != probe.n_qubits:
+            raise ValueError(f"--N {args.N} differs from the {probe.n_qubits}-qubit gW probe")
         p_values = [float(x) for x in args.p.split(",")]
         trace = discrimination.generate_probe_trace(
             probe, make_channel(args.channel, p_values[0]), p_values,
@@ -344,14 +359,9 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_fit_bounds(args) -> int:
-    xs, ys = [], []
     with open(args.csv, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-    bf = fit_bounds(xs, ys, args.bins)
+        rows = list(csv.reader(fh))[1:]  # after the header; an empty file has no points
+    bf = fit_bounds([float(r[0]) for r in rows], [float(r[1]) for r in rows], args.bins)
     print(json.dumps({"m_u": bf.m_u, "c_u": bf.c_u, "m_l": bf.m_l,
                       "c_l": bf.c_l, "residual": bf.residual}))
     return 0

@@ -24,24 +24,14 @@ class ProbeTrace:
     samples: tuple  # ((p, c_before, c_after), ...)
 
     def __post_init__(self):
+        if self.n_qubits < 2:
+            raise ValueError(f"n_qubits must be >= 2, got {self.n_qubits}")
         ps = [s[0] for s in self.samples]
         if len(set(ps)) < 3:
             raise ValueError("need at least 3 distinct p values")
         for p, cb, ca in self.samples:
             if not (0 <= cb <= 1 + 1e-9 and -1e-9 <= ca <= 1 + 1e-9):
                 raise ValueError(f"correlators out of [0, 1] at p={p}")
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def c_before(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
-
-    @property
-    def c_after(self) -> np.ndarray:
-        return np.array([s[2] for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -67,13 +57,13 @@ def classify(trace: ProbeTrace, threshold: float = 0.02) -> DiscriminationVerdic
     PDC predicts Delta = 0, ADC an affine dependence on p, DPC the shape
     c_before * (1 - |1 - 4p/3|^N). The winner must beat the runner-up by
     `threshold`; a flat trace short-circuits to PDC."""
-    p = trace.p
-    delta = trace.c_before - trace.c_after
+    p, c_before, c_after = np.array(trace.samples, dtype=float).T
+    delta = c_before - c_after
     N = trace.n_qubits
 
     res_pdc = _rms(delta)
     (a, b), res_adc = _fit_affine(p, delta)
-    dpc_model = trace.c_before * (1 - np.abs(1 - 4 * p / 3) ** N)
+    dpc_model = c_before * (1 - np.abs(1 - 4 * p / 3) ** N)
     res_dpc = _rms(dpc_model - delta)
     residuals = {"pdc": res_pdc, "adc": res_adc, "dpc": res_dpc}
     params = {"adc": {"slope": a, "intercept": b}}

@@ -3,8 +3,9 @@ versions: mutual information, classical/quantum discord, local work,
 logarithmic negativity, entanglement of formation, plus the Koashi-Winter
 bound check.
 
-Discord and local work are maximized over rank-1 projective measurement bases
-with a vectorized coarse grid followed by Nelder-Mead refinement.
+Discord and local work minimize an entropy over rank-1 projective measurement
+bases; `_minimize` is the one search routine for both: a vectorized coarse
+grid, then Nelder-Mead refinement from its best points.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .states import (DensityMatrix, PAULI, nodal_pairs, partial_trace,
 
 GRID_PHI = 60
 GRID_THETA = 30
+LW_GRID = (16, 9)  # per-qubit grid of the two-sided local-work search
 REFINE_TOL = 1e-7
 
 
@@ -57,23 +59,17 @@ def _measurement_grid(n_phi: int, n_theta: int):
     return _projectors(tg.ravel(), pg.ravel()), tg.ravel(), pg.ravel()
 
 
-def _refine(objective, x0, maxiter: int = 300):
-    return minimize(objective, x0=x0, method="Nelder-Mead",
-                    options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": maxiter})
-
-
 def _eig2x2_entropy(mats: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Entropy of stacked unnormalized 2x2 conditional states, weighted by
     outcome probabilities; returns the average conditional entropy per row."""
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.where(probs > 1e-14, probs, 1.0)
-        half_tr = 0.5
         a = mats[..., 0, 0].real / norm
         d = mats[..., 1, 1].real / norm
         off = np.abs(mats[..., 0, 1]) / norm
         disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + off**2, 0.0))
-        lam1 = np.clip(half_tr * (a + d) + disc, 1e-16, 1.0)
-        lam2 = np.clip(half_tr * (a + d) - disc, 1e-16, 1.0)
+        lam1 = np.clip(0.5 * (a + d) + disc, 1e-16, 1.0)
+        lam2 = np.clip(0.5 * (a + d) - disc, 1e-16, 1.0)
         ent = -(lam1 * np.log2(lam1) + lam2 * np.log2(lam2))
     ent = np.where(probs > 1e-14, ent, 0.0)
     return np.sum(probs * ent, axis=-1)
@@ -88,11 +84,6 @@ def _conditional_states(rho4: np.ndarray, measured_first: bool, T: np.ndarray):
     else:
         cond = np.einsum("goab,xayb->goxy", T, rho4, optimize=True)
     return cond, np.einsum("goaa->go", cond).real
-
-
-def _conditional_entropy(rho4, measured_first, T):
-    """Average post-measurement entropy of the unmeasured qubit."""
-    return _eig2x2_entropy(*_conditional_states(rho4, measured_first, T))
 
 
 def _one_sided_entropy(rho4, T):
@@ -110,6 +101,37 @@ class OptimizedMeasure:
     converged: bool
 
 
+def _minimize(f, sides: int, grid, refine: bool, starts: int = 1,
+              maxiter: int = 300) -> OptimizedMeasure:
+    """Minimum of a batched objective over rank-1 projective bases on `sides`
+    qubits: f(T) gives one value per stacked basis T[g, o, a, b], f(TA, TB) a
+    table over the product grid. Nelder-Mead refines the best `starts` points
+    of the (n_phi, n_theta) grid; returns the least value seen, the first
+    qubit's angles and whether any refinement converged."""
+    T, tg, pg = _measurement_grid(*grid)
+    values = f(*[T] * sides).ravel()
+    order = np.argsort(values)
+
+    def angles(k):  # flat grid index -> (theta, phi) of each measured qubit
+        idx = divmod(k, len(tg)) if sides == 2 else (k,)
+        return [v for i in idx for v in (tg[i], pg[i])]
+
+    def objective(x):
+        return f(*(_projectors(x[i], x[i + 1])[None] for i in range(0, len(x), 2))).item()
+
+    best, x = float(values[order[0]]), angles(order[0])
+    converged = True
+    if refine:
+        converged = False
+        for k in order[:starts]:
+            res = minimize(objective, x0=angles(k), method="Nelder-Mead",
+                           options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": maxiter})
+            if res.fun < best:
+                best, x = float(res.fun), res.x
+            converged = converged or bool(res.success)
+    return OptimizedMeasure(best, float(x[0]), float(x[1]), converged)
+
+
 def classical_discord_detailed(rho2: DensityMatrix, measured_side: str = "second",
                                grid=(GRID_PHI, GRID_THETA), refine: bool = True) -> OptimizedMeasure:
     """CD = S(unmeasured) - min over rank-1 projective bases of the average
@@ -122,24 +144,9 @@ def classical_discord_detailed(rho2: DensityMatrix, measured_side: str = "second
     s_un = von_neumann_entropy(partial_trace(rho2, unmeasured))
     rho4 = rho2.matrix.reshape(2, 2, 2, 2)
 
-    T, tg, pg = _measurement_grid(*grid)
-    cond = _conditional_entropy(rho4, measured_first, T)
-    order = np.argsort(cond)
-    best_val = float(cond[order[0]])
-    best_angles = (float(tg[order[0]]), float(pg[order[0]]))
-    converged = True
-    if refine:
-        converged = False
-        for idx in order[:3]:
-            res = _refine(lambda x: float(_conditional_entropy(
-                rho4, measured_first, _projectors(x[0], x[1])[None])[0]),
-                [tg[idx], pg[idx]])
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_angles = (float(res.x[0]), float(res.x[1]))
-            converged = converged or bool(res.success)
-    value = max(0.0, s_un - best_val)
-    return OptimizedMeasure(value, best_angles[0], best_angles[1], converged)
+    opt = _minimize(lambda T: _eig2x2_entropy(*_conditional_states(rho4, measured_first, T)),
+                    1, grid, refine, starts=3)
+    return OptimizedMeasure(max(0.0, s_un - opt.value), opt.theta, opt.phi, opt.converged)
 
 
 def classical_discord(rho2: DensityMatrix, measured_side: str = "second") -> float:
@@ -151,13 +158,7 @@ def quantum_discord(rho2: DensityMatrix, measured_side: str = "second") -> float
     return max(0.0, mutual_information(rho2) - classical_discord(rho2, measured_side))
 
 
-def _dephased_probs(rho4, TA, TB):
-    p = np.einsum("aixz,bjyw,xyzw->abij", TA, TB, rho4, optimize=True)
-    return np.clip(p.real, 0.0, None)
-
-
-def local_work(rho2: DensityMatrix, mode: str = "two_sided",
-               grid=(16, 9), refine: bool = True) -> float:
+def local_work(rho2: DensityMatrix, mode: str = "two_sided", refine: bool = True) -> float:
     """Locally extractable work: log2(4) minus the minimal entropy after
     dephasing in a product of rank-1 projective bases.
 
@@ -167,32 +168,16 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided",
     rho4 = rho2.matrix.reshape(2, 2, 2, 2)
 
     if mode == "one_sided":
-        T, tg, pg = _measurement_grid(GRID_PHI, GRID_THETA)
-        ent = _one_sided_entropy(rho4, T)
-        idx = np.argsort(ent)[0]  # not argmin: ties keep the reference start point
-        best = float(ent[idx])
-        if refine:
-            res = _refine(lambda x: float(_one_sided_entropy(
-                rho4, _projectors(x[0], x[1])[None])[0]), [tg[idx], pg[idx]])
-            best = min(best, float(res.fun))
-        return max(0.0, 2.0 - best)
-
-    if mode != "two_sided":
+        opt = _minimize(lambda T: _one_sided_entropy(rho4, T), 1,
+                        (GRID_PHI, GRID_THETA), refine)
+    elif mode == "two_sided":
+        def f(TA, TB):  # entropy of the four joint outcomes, per pair of bases
+            p = np.einsum("aixz,bjyw,xyzw->abij", TA, TB, rho4, optimize=True).real
+            return shannon_entropy(p.reshape(len(TA), len(TB), 4))
+        opt = _minimize(f, 2, LW_GRID, refine, maxiter=600)
+    else:
         raise ValueError(f"unknown local_work mode {mode!r}")
-
-    T, tg, pg = _measurement_grid(*grid)
-    probs = _dephased_probs(rho4, T, T)
-    safe = np.where(probs > 1e-14, probs, 1.0)
-    ent = -np.sum(probs * np.log2(safe), axis=(2, 3))
-    a0, b0 = np.unravel_index(np.argmin(ent), ent.shape)
-    best = float(ent[a0, b0])
-    x0 = [tg[a0], pg[a0], tg[b0], pg[b0]]
-    if refine:
-        res = _refine(lambda x: float(shannon_entropy(_dephased_probs(
-            rho4, _projectors(x[0], x[1])[None], _projectors(x[2], x[3])[None]).ravel())),
-            x0, maxiter=600)
-        best = min(best, float(res.fun))
-    return max(0.0, 2.0 - best)
+    return max(0.0, 2.0 - opt.value)
 
 
 def log_negativity(rho2: DensityMatrix) -> float:
@@ -255,26 +240,28 @@ def check_measures(kinds) -> None:
             raise ValueError(f"unknown measure {kind!r}, expected one of {tuple(MEASURES)}")
 
 
+def evaluate_measures(rho: DensityMatrix, kinds, nodal: int = 1,
+                      direction: str = "left") -> list[float]:
+    """Registry measures of a full state, in the order of `kinds`; the
+    (nodal, i) pairs are reduced once and every pair measure sums over them."""
+    check_measures(kinds)
+    measured = MEASURED_SIDE[direction]
+    pairs, out = None, []
+    for kind in kinds:
+        pair, f = MEASURES[kind]
+        if pair and pairs is None:
+            pairs = list(nodal_pairs(rho, nodal))
+        out.append(sum(f(rho2, measured) for rho2 in pairs) if pair else f(rho, nodal))
+    return out
+
+
 def distributed_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
                         direction: str = "left") -> float:
     """Sum of a pair measure over all (nodal, other) reduced pairs."""
     check_measures([kind])
-    pair, f = MEASURES[kind]
-    if not pair:
+    if not MEASURES[kind][0]:
         raise ValueError(f"{kind!r} is a whole-state measure, not a pair measure")
-    measured = MEASURED_SIDE[direction]
-    total = 0.0
-    for rho2 in nodal_pairs(rho, nodal):
-        total += f(rho2, measured)
-    return total
-
-
-def evaluate_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
-                     direction: str = "left") -> float:
-    """Any registry measure of a full state."""
-    check_measures([kind])
-    pair, f = MEASURES[kind]
-    return distributed_measure(rho, kind, nodal, direction) if pair else f(rho, nodal)
+    return evaluate_measures(rho, [kind], nodal, direction)[0]
 
 
 def koashi_winter_check(rho: DensityMatrix, nodal: int = 1, refine: bool = True,

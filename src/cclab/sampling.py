@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import make_channel, apply_uniform
-from .measures import check_measures, evaluate_measure
+from .measures import evaluate_measures
 from .states import PureState, pure_to_density
 
 ENSEMBLES = ("haar", "w_class")
@@ -101,7 +101,6 @@ def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
                       threads: int = 1) -> np.ndarray:
     """Per-sample measure values, shape (count, len(measures)); row order is
     the sample index, independent of the thread schedule."""
-    check_measures(measures)
     ch = make_channel(channel_kind, p) if channel_kind != "none" else None
     out = np.empty((cfg.count, len(measures)), dtype=float)
 
@@ -109,8 +108,7 @@ def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
         rho = pure_to_density(sample_state(cfg, i))
         if ch is not None:
             rho = apply_uniform(rho, ch)
-        for j, m in enumerate(measures):
-            out[i, j] = evaluate_measure(rho, m, nodal, direction)
+        out[i] = evaluate_measures(rho, measures, nodal, direction)
 
     if threads <= 1:
         for i in range(cfg.count):

@@ -132,6 +132,7 @@ def test_cli_measure_command(tmp_path, capsys):
     rc = cli.main(["measure", "--state", str(state), "--kind", "mi"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"value", "kind"}
     assert out["value"] == pytest.approx(2.0)
     assert cli.main(["measure", "--state", str(state), "--kind", "mi", "--nodal", "3"]) == 2
     assert capsys.readouterr().err.startswith("cclab: error: nodal qubit 3")
@@ -160,6 +161,57 @@ def test_cli_discriminate_simulated(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["label"] == "adc"
+
+
+@pytest.mark.parametrize("n", ["5", "0", "2"])
+def test_discriminate_simulated_n_must_match_probe(n, capsys):
+    # the simulated gW probe has 3 qubits; any other --N used to be ignored
+    assert cli.main(["discriminate", "--channel", "dpc", "--N", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: --N") and len(err.splitlines()) == 1
+    assert cli.main(["discriminate", "--channel", "dpc", "--N", "3"]) == 0
+
+
+def test_discriminate_trace_needs_two_qubits(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("p,c_before,c_after\n0.1,1.0,0.9\n0.2,1.0,0.8\n0.3,1.0,0.7\n")
+    assert cli.main(["discriminate", "--trace", str(path), "--N", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and "n_qubits" in err
+    assert len(err.splitlines()) == 1
+    assert cli.main(["discriminate", "--trace", str(path), "--N", "3"]) == 0
+
+
+# config values of the wrong JSON type, each once silently cast or a traceback
+BAD_TYPES = [
+    {"sampler": {"count": 2.7}}, {"sampler": {"n_qubits": 3.0}},
+    {"sampler": {"master_seed": "1"}}, {"sampler": {"count": True}},
+    {"sampler": {"wclass_real_amplitudes": "false"}},
+    {"sampler": {"wclass_real_amplitudes": 0}}, {"sampler": ["n_qubits"]},
+    {"nodal": 1.6}, {"bins": "8"}, {"threads": 2.0},
+    {"p_grid": 0.2}, {"p_grid": ["0.2"]}, {"p_grid": [True]},
+    {"channels": "pdc"}, {"measures": "dcmax"},
+]
+
+
+@pytest.mark.parametrize("override", BAD_TYPES, ids=lambda o: json.dumps(o))
+def test_config_strict_json_types(override, tmp_path, capsys):
+    with pytest.raises(ValueError, match="must be a JSON"):
+        cli.config_from_dict({"measures": ["mi"], **override})
+    path = write_config(tmp_path, **override)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_fit_bounds_empty_csv(tmp_path, capsys):
+    for text in ("", "x,y\n"):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert cli.main(["fit-bounds", "--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_fit_bounds(tmp_path, capsys):

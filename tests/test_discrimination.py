@@ -15,6 +15,10 @@ def test_probe_trace_validation():
         ProbeTrace(3, ((0.1, 1.0, 0.9), (0.1, 1.0, 0.8), (0.1, 1.0, 0.7)))
     with pytest.raises(ValueError):
         ProbeTrace(3, ((0.1, 1.5, 0.9), (0.2, 1.0, 0.8), (0.3, 1.0, 0.7)))
+    # N = 0 would make the DPC model identically 0
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n_qubits"):
+            ProbeTrace(n, ((0.1, 1.0, 0.9), (0.2, 1.0, 0.8), (0.3, 1.0, 0.7)))
 
 
 def test_gw_probe_state_is_single_excitation():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from cclab.channels import make_channel, apply_uniform
+from cclab import measures
 from cclab.measures import (classical_discord, classical_discord_detailed,
                             concurrence, distributed_measure,
-                            entanglement_of_formation, koashi_winter_check,
-                            local_work, log_negativity, mutual_information,
-                            quantum_discord)
+                            entanglement_of_formation, evaluate_measures,
+                            koashi_winter_check, local_work, log_negativity,
+                            mutual_information, quantum_discord)
 from cclab.states import DensityMatrix, PureState, pure_to_density
 from conftest import random_density, random_pure
 
@@ -121,6 +122,21 @@ def test_distributed_measure_sums_pairs(w3):
     assert distributed_measure(w3, "mi") == pytest.approx(2 * mutual_information(pair))
     with pytest.raises(IndexError):
         distributed_measure(w3, "mi", nodal=5)
+
+
+def test_evaluate_measures_reduces_pairs_once(monkeypatch):
+    rho = apply_uniform(pure_to_density(random_pure(4, 34)), make_channel("dpc", 0.3))
+    kinds = ["mi", "dcmax", "ln", "eof", "cmax"]
+    expected = [distributed_measure(rho, k, 2, "right") if k != "dcmax"
+                else measures.correlators.distributed_cmax(rho, 2) for k in kinds]
+    calls = []
+    original = measures.nodal_pairs
+    monkeypatch.setattr(measures, "nodal_pairs",
+                        lambda r, nodal: calls.append(nodal) or original(r, nodal))
+    assert evaluate_measures(rho, kinds, 2, "right") == expected
+    assert calls == [2]
+    with pytest.raises(ValueError, match="unknown measure"):
+        evaluate_measures(rho, ["mi", "magic"])
 
 
 def test_koashi_winter_on_pure_states():

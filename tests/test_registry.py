@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclab import cli
-from cclab.measures import MEASURES, classical_discord_detailed, evaluate_measure
+from cclab.measures import MEASURES, classical_discord_detailed, evaluate_measures
 from cclab.sampling import SamplerConfig, evaluate_ensemble
 from cclab.states import DensityMatrix
 from conftest import random_density
@@ -104,10 +104,9 @@ SEEDS = st.integers(0, 2**32 - 1)
 @given(seed=SEEDS, direction=st.sampled_from(["left", "right"]))
 def test_discord_between_zero_and_mi(seed, direction):
     rho = random_density(2, seed)
-    cd = evaluate_measure(rho, "cd", direction=direction)
-    mi = evaluate_measure(rho, "mi")
+    cd, qd, mi = evaluate_measures(rho, ["cd", "qd", "mi"], direction=direction)
     assert -1e-12 <= cd <= mi + 1e-9
-    assert evaluate_measure(rho, "qd", direction=direction) + cd == pytest.approx(mi, abs=1e-9)
+    assert qd + cd == pytest.approx(mi, abs=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
@@ -115,8 +114,8 @@ def test_discord_between_zero_and_mi(seed, direction):
 def test_local_unitary_invariance(seed, useed, vseed):
     rho = random_density(2, seed)
     u, v = _local_unitary(useed), _local_unitary(vseed)
-    assert evaluate_measure(_rotated(rho, u, v), "mi") == pytest.approx(
-        evaluate_measure(rho, "mi"), abs=1e-6)
+    assert evaluate_measures(_rotated(rho, u, v), ["mi"])[0] == pytest.approx(
+        evaluate_measures(rho, ["mi"])[0], abs=1e-6)
     # a unitary on the measured qubit moves the optimum off a finite grid, so
     # grid-only discord is compared under a unitary on the unmeasured one
     eye = np.eye(2)
