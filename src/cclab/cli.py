@@ -85,7 +85,7 @@ def _check_keys(obj: dict, cls, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean", list: "array", dict: "object"}
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}
 
 
 def _get(obj: dict, key: str, default, kind):
@@ -98,12 +98,14 @@ def _get(obj: dict, key: str, default, kind):
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ValueError(f"config must be a JSON object, got {json.dumps(obj)}")
     _check_keys(obj, ExperimentConfig, "config")
     sam = _get(obj, "sampler", {}, dict)
     _check_keys(sam, SamplerConfig, "sampler")
     sampler = SamplerConfig(
         n_qubits=_get(sam, "n_qubits", 3, int),
-        ensemble=sam.get("ensemble", "haar"),
+        ensemble=_get(sam, "ensemble", "haar", str),
         count=_get(sam, "count", 1000, int),
         master_seed=_get(sam, "master_seed", 0, int),
         wclass_real_amplitudes=_get(sam, "wclass_real_amplitudes", False, bool))
@@ -111,15 +113,15 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in p_grid):
         raise ValueError(f"p_grid must be a JSON array of numbers, got {json.dumps(p_grid)}")
     return ExperimentConfig(
-        experiment=obj.get("experiment", "sweep"),
+        experiment=_get(obj, "experiment", "sweep", str),
         sampler=sampler,
         channels=tuple(_get(obj, "channels", ["pdc"], list)),
         p_grid=tuple(float(p) for p in p_grid),
         measures=tuple(_get(obj, "measures", [], list)),
         nodal=_get(obj, "nodal", 1, int),
-        direction=obj.get("direction", "left"),
+        direction=_get(obj, "direction", "left", str),
         bins=_get(obj, "bins", 50, int),
-        output_dir=obj.get("output_dir", os.environ.get(OUTPUT_ENV, ".")),
+        output_dir=_get(obj, "output_dir", os.environ.get(OUTPUT_ENV, "."), str),
         threads=_get(obj, "threads", 1, int))
 
 
@@ -361,6 +363,9 @@ def _cmd_discriminate(args) -> int:
 def _cmd_fit_bounds(args) -> int:
     with open(args.csv, newline="") as fh:
         rows = list(csv.reader(fh))[1:]  # after the header; an empty file has no points
+    for i, row in enumerate(rows, start=1):
+        if len(row) < 2:
+            raise ValueError(f"{args.csv}: data row {i} has {len(row)} columns, expected x,y")
     bf = fit_bounds([float(r[0]) for r in rows], [float(r[1]) for r in rows], args.bins)
     print(json.dumps({"m_u": bf.m_u, "c_u": bf.c_u, "m_l": bf.m_l,
                       "c_l": bf.c_l, "residual": bf.residual}))

@@ -5,7 +5,7 @@ bound check.
 
 Discord and local work minimize an entropy over rank-1 projective measurement
 bases; `_minimize` is the one search routine for both: a vectorized coarse
-grid, then Nelder-Mead refinement from its best points.
+grid, then a vectorized zoom grid around its best points.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import correlators
 from .states import (DensityMatrix, PAULI, nodal_pairs, partial_trace,
@@ -22,7 +21,15 @@ from .states import (DensityMatrix, PAULI, nodal_pairs, partial_trace,
 GRID_PHI = 60
 GRID_THETA = 30
 LW_GRID = (16, 9)  # per-qubit grid of the two-sided local-work search
-REFINE_TOL = 1e-7
+# Zoom-grid refinement: an 11x11 (theta, phi) window per measured qubit,
+# starting one coarse-grid step wide on each side of its centre. A best point
+# on the window's edge moves the window there at the same size; a best point
+# inside shrinks it by ZOOM_SHRINK. The search stops after ZOOM_SHRINKS
+# shrinks, or unconverged after ZOOM_MAX_ROUNDS windows.
+ZOOM_OFFSETS = np.arange(-5, 6) / 5.0  # window points in units of its half-width
+ZOOM_SHRINK = 0.35
+ZOOM_SHRINKS = 8
+ZOOM_MAX_ROUNDS = 40
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -101,13 +108,36 @@ class OptimizedMeasure:
     converged: bool
 
 
-def _minimize(f, sides: int, grid, refine: bool, starts: int = 1,
-              maxiter: int = 300) -> OptimizedMeasure:
+def _zoom(f, sides: int, x, half, value: float):
+    """Zoom-grid search from the angles x (theta, phi per measured qubit) whose
+    objective value is `value`, with window half-widths `half` (theta, phi).
+    Returns the least value seen, its angles and whether every shrink ran."""
+    n = len(ZOOM_OFFSETS)
+    dt, dp = (g.ravel() for g in np.meshgrid(ZOOM_OFFSETS, ZOOM_OFFSETS, indexing="ij"))
+    x = np.asarray(x, dtype=float).reshape(sides, 2)
+    shrinks = rounds = 0
+    while shrinks < ZOOM_SHRINKS and rounds < ZOOM_MAX_ROUNDS:
+        rounds += 1
+        th, ph = x[:, :1] + half[0] * dt, x[:, 1:] + half[1] * dp  # (sides, n * n)
+        values = f(*(_projectors(th[s], ph[s]) for s in range(sides))).ravel()
+        k = int(np.argmin(values))
+        if values[k] < value:
+            idx = divmod(k, n * n) if sides == 2 else (k,)
+            value = float(values[k])
+            x = np.array([[th[s, i], ph[s, i]] for s, i in enumerate(idx)])
+            if any(i // n in (0, n - 1) or i % n in (0, n - 1) for i in idx):
+                continue  # best point on the edge: move the window, keep its size
+        half = (half[0] * ZOOM_SHRINK, half[1] * ZOOM_SHRINK)
+        shrinks += 1
+    return value, x.ravel(), shrinks == ZOOM_SHRINKS
+
+
+def _minimize(f, sides: int, grid, refine: bool, starts: int = 1) -> OptimizedMeasure:
     """Minimum of a batched objective over rank-1 projective bases on `sides`
     qubits: f(T) gives one value per stacked basis T[g, o, a, b], f(TA, TB) a
-    table over the product grid. Nelder-Mead refines the best `starts` points
-    of the (n_phi, n_theta) grid; returns the least value seen, the first
-    qubit's angles and whether any refinement converged."""
+    table over the product grid. A zoom grid (`_zoom`) refines the best
+    `starts` points of the (n_phi, n_theta) grid; returns the least value
+    seen, the first qubit's angles and whether every zoom converged."""
     T, tg, pg = _measurement_grid(*grid)
     values = f(*[T] * sides).ravel()
     order = np.argsort(values)
@@ -116,19 +146,15 @@ def _minimize(f, sides: int, grid, refine: bool, starts: int = 1,
         idx = divmod(k, len(tg)) if sides == 2 else (k,)
         return [v for i in idx for v in (tg[i], pg[i])]
 
-    def objective(x):
-        return f(*(_projectors(x[i], x[i + 1])[None] for i in range(0, len(x), 2))).item()
-
     best, x = float(values[order[0]]), angles(order[0])
     converged = True
     if refine:
-        converged = False
+        step = (np.pi / (grid[1] - 1), 2 * np.pi / grid[0])
         for k in order[:starts]:
-            res = minimize(objective, x0=angles(k), method="Nelder-Mead",
-                           options={"fatol": REFINE_TOL, "xatol": 1e-6, "maxiter": maxiter})
-            if res.fun < best:
-                best, x = float(res.fun), res.x
-            converged = converged or bool(res.success)
+            value, xk, done = _zoom(f, sides, angles(k), step, float(values[k]))
+            if value < best:
+                best, x = value, xk
+            converged = converged and done
     return OptimizedMeasure(best, float(x[0]), float(x[1]), converged)
 
 
@@ -155,7 +181,7 @@ def classical_discord(rho2: DensityMatrix, measured_side: str = "second") -> flo
 
 def quantum_discord(rho2: DensityMatrix, measured_side: str = "second") -> float:
     """D = I - CD, clipped to be non-negative."""
-    return max(0.0, mutual_information(rho2) - classical_discord(rho2, measured_side))
+    return _Pair(rho2, measured_side)["qd"]
 
 
 def local_work(rho2: DensityMatrix, mode: str = "two_sided", refine: bool = True) -> float:
@@ -174,7 +200,7 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided", refine: bool = True
         def f(TA, TB):  # entropy of the four joint outcomes, per pair of bases
             p = np.einsum("aixz,bjyw,xyzw->abij", TA, TB, rho4, optimize=True).real
             return shannon_entropy(p.reshape(len(TA), len(TB), 4))
-        opt = _minimize(f, 2, LW_GRID, refine, maxiter=600)
+        opt = _minimize(f, 2, LW_GRID, refine)
     else:
         raise ValueError(f"unknown local_work mode {mode!r}")
     return max(0.0, 2.0 - opt.value)
@@ -209,26 +235,42 @@ def entanglement_of_formation(rho2: DensityMatrix) -> float:
     return _binary_entropy((1 + np.sqrt(max(0.0, 1 - c**2))) / 2)
 
 
-# The measure registry: name -> (pair, f). A pair measure f(rho2, measured_side)
-# is summed over the (nodal, i) reduced pairs by distributed_measure; a
-# whole-state measure f(rho, nodal) sees the full register. The lambdas look
-# functions up when they run, so a rebound module attribute reaches every call.
+# The measure registry: name -> (pair, f). A pair measure f(pair) gets a
+# _Pair, reads its state and measured side and may read other registry values
+# of the same pair through it; evaluate_measures sums it over the (nodal, i)
+# reduced pairs. A whole-state measure f(rho, nodal) sees the full register.
+# The lambdas look functions up when they run, so a rebound module attribute
+# reaches every call.
 MEASURES = {
-    "cmax": (True, lambda r, side: correlators.genuine_max(r)[0]),
-    "cd": (True, lambda r, side: classical_discord(r, side)),
-    "lw": (True, lambda r, side: local_work(r)),
-    "qd": (True, lambda r, side: quantum_discord(r, side)),
-    "mi": (True, lambda r, side: mutual_information(r)),
-    "ln": (True, lambda r, side: log_negativity(r)),
-    "eof": (True, lambda r, side: entanglement_of_formation(r)),
+    "cmax": (True, lambda memo: correlators.genuine_max(memo.rho2)[0]),
+    "cd": (True, lambda memo: classical_discord(memo.rho2, memo.side)),
+    "lw": (True, lambda memo: local_work(memo.rho2)),
+    "qd": (True, lambda memo: max(0.0, memo["mi"] - memo["cd"])),
+    "mi": (True, lambda memo: mutual_information(memo.rho2)),
+    "ln": (True, lambda memo: log_negativity(memo.rho2)),
+    "eof": (True, lambda memo: entanglement_of_formation(memo.rho2)),
     # "lw_half" (half the one-sided work, dephasing the nodal qubit) is the
     # local-work variant that tracks the published per-pair table values
-    "lw_one_sided": (True, lambda r, side: local_work(r, "one_sided")),
-    "lw_half": (True, lambda r, side: local_work(r, "one_sided") / 2),
+    "lw_one_sided": (True, lambda memo: local_work(memo.rho2, "one_sided")),
+    "lw_half": (True, lambda memo: memo["lw_one_sided"] / 2),
     # shared-direction distributed correlator maximum
     "dcmax": (False, lambda rho, nodal: correlators.distributed_cmax(rho, nodal)),
     "genuine_cmax": (False, lambda rho, nodal: correlators.genuine_max(rho)[0]),
 }
+
+
+class _Pair:
+    """One reduced pair and the registry values computed on it so far: each
+    pair measure runs at most once per pair, however many others read it."""
+
+    def __init__(self, rho2: DensityMatrix, side: str):
+        self.rho2, self.side, self._values = rho2, side, {}
+
+    def __getitem__(self, kind: str) -> float:
+        if kind not in self._values:
+            self._values[kind] = MEASURES[kind][1](self)
+        return self._values[kind]
+
 
 # direction "left" measures the partner (CD^<-), "right" the nodal qubit
 MEASURED_SIDE = {"left": "second", "right": "first"}
@@ -243,15 +285,16 @@ def check_measures(kinds) -> None:
 def evaluate_measures(rho: DensityMatrix, kinds, nodal: int = 1,
                       direction: str = "left") -> list[float]:
     """Registry measures of a full state, in the order of `kinds`; the
-    (nodal, i) pairs are reduced once and every pair measure sums over them."""
+    (nodal, i) pairs are reduced once, every pair measure sums over them, and
+    a value one measure reads from another is computed once per pair."""
     check_measures(kinds)
     measured = MEASURED_SIDE[direction]
     pairs, out = None, []
     for kind in kinds:
         pair, f = MEASURES[kind]
         if pair and pairs is None:
-            pairs = list(nodal_pairs(rho, nodal))
-        out.append(sum(f(rho2, measured) for rho2 in pairs) if pair else f(rho, nodal))
+            pairs = [_Pair(rho2, measured) for rho2 in nodal_pairs(rho, nodal)]
+        out.append(sum(memo[kind] for memo in pairs) if pair else f(rho, nodal))
     return out
 
 

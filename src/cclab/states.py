@@ -232,7 +232,13 @@ def shannon_entropy(probs) -> np.ndarray:
     bits; negative entries count as zero."""
     p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     keep = p > 1e-12
-    return -np.sum(np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0), axis=-1)
+    terms = np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0)
+    # added column by column, in order: the same sums as np.sum over a short
+    # last axis, several times faster on the optimizers' large stacks
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return -total
 
 
 def pauli_operator(labels) -> np.ndarray:

@@ -191,6 +191,8 @@ BAD_TYPES = [
     {"nodal": 1.6}, {"bins": "8"}, {"threads": 2.0},
     {"p_grid": 0.2}, {"p_grid": ["0.2"]}, {"p_grid": [True]},
     {"channels": "pdc"}, {"measures": "dcmax"},
+    {"experiment": 5}, {"sampler": {"ensemble": 1}}, {"direction": ["left"]},
+    {"output_dir": 7}, {"experiment": None},
 ]
 
 
@@ -205,6 +207,17 @@ def test_config_strict_json_types(override, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_config_top_level_must_be_object(tmp_path, capsys):
+    for text in ("[]", '["measures"]', "3", '"sweep"'):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            cli.config_from_dict(json.loads(text))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+
+
 def test_fit_bounds_empty_csv(tmp_path, capsys):
     for text in ("", "x,y\n"):
         path = tmp_path / "empty.csv"
@@ -212,6 +225,16 @@ def test_fit_bounds_empty_csv(tmp_path, capsys):
         assert cli.main(["fit-bounds", "--csv", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+
+
+def test_fit_bounds_short_row(tmp_path, capsys):
+    for text in ("x,y\n1\n", "x,y\n1,2\n3\n"):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        assert cli.main(["fit-bounds", "--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cclab: error: ") and "columns" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_cli_fit_bounds(tmp_path, capsys):

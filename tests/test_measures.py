@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cclab
 from cclab.channels import make_channel, apply_uniform
 from cclab import measures
 from cclab.measures import (classical_discord, classical_discord_detailed,
@@ -137,6 +143,70 @@ def test_evaluate_measures_reduces_pairs_once(monkeypatch):
     assert calls == [2]
     with pytest.raises(ValueError, match="unknown measure"):
         evaluate_measures(rho, ["mi", "magic"])
+
+
+def test_discord_computed_once_per_pair(monkeypatch):
+    rho = apply_uniform(pure_to_density(random_pure(3, 35)), make_channel("adc", 0.4))
+    kinds = ["cd", "qd", "mi"]
+    for direction in ("left", "right"):
+        separate = [evaluate_measures(rho, [k], 1, direction)[0] for k in kinds]
+        calls = []
+        original = measures.classical_discord_detailed
+        monkeypatch.setattr(measures, "classical_discord_detailed",
+                            lambda r, *a, **kw: calls.append(r) or original(r, *a, **kw))
+        together = evaluate_measures(rho, kinds, 1, direction)
+        monkeypatch.undo()
+        # one discord per (1, i) pair of the 3-qubit state, none again for qd
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert together == separate  # bit for bit
+        cd, qd, mi = together
+        assert qd + cd == pytest.approx(mi, abs=1e-12)
+
+
+def test_returned_angles_reproduce_value(monkeypatch):
+    """Each objective, evaluated at the angles a search returns, gives back
+    its value: every measured qubit's angles from each zoom, the first
+    qubit's from _minimize."""
+    rho2 = apply_uniform(pure_to_density(random_pure(2, 71)), make_channel("adc", 0.3))
+    runs, zooms = [], []
+    minimize, zoom = measures._minimize, measures._zoom
+
+    def spy_minimize(f, sides, *args, **kwargs):
+        runs.append((f, sides, minimize(f, sides, *args, **kwargs)))
+        return runs[-1][2]
+
+    def spy_zoom(f, sides, *args):
+        zooms.append((f, sides, zoom(f, sides, *args)))
+        return zooms[-1][2]
+
+    monkeypatch.setattr(measures, "_minimize", spy_minimize)
+    monkeypatch.setattr(measures, "_zoom", spy_zoom)
+    discord = [classical_discord_detailed(rho2, side) for side in ("first", "second")]
+    local_work(rho2, "one_sided")
+    local_work(rho2, "two_sided")
+    assert [sides for _, sides, _ in runs] == [1, 1, 1, 2]
+    assert [(r.theta, r.phi) for r in discord] == [(r.theta, r.phi) for _, _, r in runs[:2]]
+    # discord zooms from 3 grid points, local work from 1
+    assert [sum(g is f for g, _, _ in zooms) for f, _, _ in runs] == [3, 3, 1, 1]
+    for f, sides, (value, x, converged) in zooms:
+        assert converged
+        bases = [measures._projectors(x[i], x[i + 1])[None] for i in range(0, 2 * sides, 2)]
+        assert f(*bases).item() == pytest.approx(value, abs=1e-12)
+    for f, sides, res in runs:
+        assert res.converged
+        value, x = min(((v, x) for g, _, (v, x, _) in zooms if g is f), key=lambda vx: vx[0])
+        assert res.value == value and (res.theta, res.phi) == (x[0], x[1])
+
+
+def test_import_leaves_scipy_out():
+    """cclab needs numpy only: importing it must not load scipy."""
+    src = Path(cclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cclab, cclab.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_koashi_winter_on_pure_states():

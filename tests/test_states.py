@@ -94,6 +94,23 @@ def test_entropies():
     assert shannon_entropy([1.0, 0.0]) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("outcomes", [2, 4])
+def test_shannon_entropy_matches_numpy_row_sum(outcomes):
+    # rows as the optimizers pass them: zeros, tiny and slightly negative
+    # entries, one-hot rows; the reference sums each row with np.sum
+    rng = np.random.default_rng(outcomes)
+    p = rng.random((3000, outcomes)) ** 6
+    p[rng.random(p.shape) < 0.2] = 0.0
+    p[::7] = np.eye(outcomes)[0]
+    p /= np.where(p.sum(-1, keepdims=True) > 0, p.sum(-1, keepdims=True), 1.0)
+    p[::11, -1] = -1e-17
+    q = np.clip(p, 0.0, None)
+    keep = q > 1e-12
+    reference = -np.sum(np.where(keep, q * np.log2(np.where(keep, q, 1.0)), 0.0), axis=-1)
+    assert np.array_equal(shannon_entropy(p), reference)
+    assert np.array_equal(shannon_entropy(p.reshape(30, 100, outcomes)), reference.reshape(30, 100))
+
+
 def test_entropy_rejects_nonpositive():
     with pytest.raises(PositivityError):
         von_neumann_entropy(DensityMatrix(1, np.diag([1.5, -0.5]), validate=False))
