@@ -18,7 +18,7 @@ import numpy as np
 from . import discrimination, oracles
 from .channels import KINDS, make_channel
 from .correlators import correlator, genuine_max, parse_index
-from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_measures
+from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_block
 from .sampling import (SamplerConfig, decay_rate, ensemble_sweep,
                        evaluate_ensemble, fit_bounds)
 from .states import load_state
@@ -319,8 +319,13 @@ def _cmd_measure(args) -> int:
     rho = load_state(args.state)
     if not 1 <= args.nodal <= rho.n_qubits:
         raise ValueError(f"nodal qubit {args.nodal} outside [1, {rho.n_qubits}]")
-    value, = evaluate_measures(rho, [args.kind], args.nodal, args.direction)
-    print(json.dumps({"value": float(value), "kind": args.kind}))
+    values, searches = evaluate_block([rho], [args.kind], args.nodal, args.direction)
+    out = {"value": float(values[0, 0]), "kind": args.kind}
+    if searches:  # a search-backed kind: did every pair's search converge
+        out["converged"] = all(bool(s.converged.all()) for s in searches.values())
+    if "cd" in searches:  # the measured qubit's basis, per (nodal, i) pair
+        out["theta"], out["phi"] = searches["cd"].theta.tolist(), searches["cd"].phi.tolist()
+    print(json.dumps(out))
     return 0
 
 

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import make_channel, apply_uniform
-from .measures import evaluate_measures
+from .measures import evaluate_block
 from .states import PureState, pure_to_density
 
 ENSEMBLES = ("haar", "w_class")
+# samples per evaluate_ensemble block: their pairs share one search per measure
+BLOCK = 32
 
 
 class FitError(ValueError):
@@ -100,22 +102,26 @@ def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
                       nodal: int = 1, direction: str = "left",
                       threads: int = 1) -> np.ndarray:
     """Per-sample measure values, shape (count, len(measures)); row order is
-    the sample index, independent of the thread schedule."""
+    the sample index. The indices are cut into blocks of BLOCK, each evaluated
+    by one `evaluate_block`, so the values depend on the index alone, never
+    on the thread schedule."""
     ch = make_channel(channel_kind, p) if channel_kind != "none" else None
     out = np.empty((cfg.count, len(measures)), dtype=float)
 
-    def work(i: int):
-        rho = pure_to_density(sample_state(cfg, i))
-        if ch is not None:
-            rho = apply_uniform(rho, ch)
-        out[i] = evaluate_measures(rho, measures, nodal, direction)
+    def work(start: int):
+        rhos = []
+        for i in range(start, min(start + BLOCK, cfg.count)):
+            rho = pure_to_density(sample_state(cfg, i))
+            rhos.append(apply_uniform(rho, ch) if ch is not None else rho)
+        out[start:start + len(rhos)] = evaluate_block(rhos, measures, nodal, direction)[0]
 
+    blocks = range(0, cfg.count, BLOCK)
     if threads <= 1:
-        for i in range(cfg.count):
-            work(i)
+        for start in blocks:
+            work(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(cfg.count)))
+            list(pool.map(work, blocks))
     return out
 
 

@@ -138,6 +138,24 @@ def test_cli_measure_command(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cclab: error: nodal qubit 3")
 
 
+def test_cli_measure_reports_search_convergence(tmp_path, capsys):
+    state = tmp_path / "w3.json"
+    state.write_text(PureState.w_state(3).to_json())
+    for kind in ("cd", "qd", "lw", "lw_one_sided", "lw_half", "mi"):
+        assert cli.main(["measure", "--state", str(state), "--kind", kind]) == 0
+        out = json.loads(capsys.readouterr().out)
+        keys = {"value", "kind"}
+        if kind != "mi":
+            keys.add("converged")
+            assert out["converged"] is True
+        if kind in ("cd", "qd"):
+            # the measured qubit's angles for each of the pairs (1, 2) and (1, 3)
+            keys |= {"theta", "phi"}
+            assert len(out["theta"]) == len(out["phi"]) == 2
+            assert all(isinstance(v, float) for v in out["theta"] + out["phi"])
+        assert set(out) == keys, kind
+
+
 def test_cli_correlators_command(tmp_path, capsys):
     state = tmp_path / "w3.json"
     state.write_text(PureState.w_state(3).to_json())

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ from cclab.measures import (classical_discord, classical_discord_detailed,
                             concurrence, distributed_measure,
                             entanglement_of_formation, evaluate_measures,
                             koashi_winter_check, local_work, log_negativity,
-                            mutual_information, quantum_discord)
-from cclab.states import DensityMatrix, PureState, pure_to_density
+                            evaluate_block, mutual_information, quantum_discord)
+from cclab.sampling import SamplerConfig, sample_state
+from cclab.states import (PAULI, DensityMatrix, PureState, partial_trace,
+                          pure_to_density, von_neumann_entropy)
 from conftest import random_density, random_pure
 
 
@@ -151,32 +154,33 @@ def test_discord_computed_once_per_pair(monkeypatch):
     for direction in ("left", "right"):
         separate = [evaluate_measures(rho, [k], 1, direction)[0] for k in kinds]
         calls = []
-        original = measures.classical_discord_detailed
-        monkeypatch.setattr(measures, "classical_discord_detailed",
-                            lambda r, *a, **kw: calls.append(r) or original(r, *a, **kw))
+        original = measures._minimize
+        monkeypatch.setattr(measures, "_minimize",
+                            lambda f, F, *a, **kw: calls.append((f, len(F))) or original(f, F, *a, **kw))
         together = evaluate_measures(rho, kinds, 1, direction)
         monkeypatch.undo()
-        # one discord per (1, i) pair of the 3-qubit state, none again for qd
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        # one discord search, one row per (1, i) pair of the 3-qubit state,
+        # none again for qd
+        assert calls == [(measures._conditional_entropy, 2)]
         assert together == separate  # bit for bit
         cd, qd, mi = together
         assert qd + cd == pytest.approx(mi, abs=1e-12)
 
 
 def test_returned_angles_reproduce_value(monkeypatch):
-    """Each objective, evaluated at the angles a search returns, gives back
-    its value: every measured qubit's angles from each zoom, the first
-    qubit's from _minimize."""
+    """Each Fano objective, evaluated at the angles a search returns, gives
+    back its value: every row's measured-qubit angles from each zoom, the
+    first qubit's from _minimize."""
     rho2 = apply_uniform(pure_to_density(random_pure(2, 71)), make_channel("adc", 0.3))
     runs, zooms = [], []
     minimize, zoom = measures._minimize, measures._zoom
 
-    def spy_minimize(f, sides, *args, **kwargs):
-        runs.append((f, sides, minimize(f, sides, *args, **kwargs)))
+    def spy_minimize(f, F, sides, *args, **kwargs):
+        runs.append((f, sides, minimize(f, F, sides, *args, **kwargs)))
         return runs[-1][2]
 
-    def spy_zoom(f, sides, *args):
-        zooms.append((f, sides, zoom(f, sides, *args)))
+    def spy_zoom(f, F, *args):
+        zooms.append((f, F, zoom(f, F, *args)))
         return zooms[-1][2]
 
     monkeypatch.setattr(measures, "_minimize", spy_minimize)
@@ -185,17 +189,119 @@ def test_returned_angles_reproduce_value(monkeypatch):
     local_work(rho2, "one_sided")
     local_work(rho2, "two_sided")
     assert [sides for _, sides, _ in runs] == [1, 1, 1, 2]
-    assert [(r.theta, r.phi) for r in discord] == [(r.theta, r.phi) for _, _, r in runs[:2]]
-    # discord zooms from 3 grid points, local work from 1
-    assert [sum(g is f for g, _, _ in zooms) for f, _, _ in runs] == [3, 3, 1, 1]
-    for f, sides, (value, x, converged) in zooms:
-        assert converged
-        bases = [measures._projectors(x[i], x[i + 1])[None] for i in range(0, 2 * sides, 2)]
-        assert f(*bases).item() == pytest.approx(value, abs=1e-12)
-    for f, sides, res in runs:
-        assert res.converged
-        value, x = min(((v, x) for g, _, (v, x, _) in zooms if g is f), key=lambda vx: vx[0])
-        assert res.value == value and (res.theta, res.phi) == (x[0], x[1])
+    assert [(r.theta, r.phi) for r in discord] == [(r.theta[0], r.phi[0]) for _, _, r in runs[:2]]
+    # one lockstep zoom per search: discord's rows start from 3 grid bases,
+    # local work's from 1
+    assert [(g, len(F)) for g, F, _ in zooms] == [(f, n) for (f, _, _), n in zip(runs, (3, 3, 1, 1))]
+    for f, F, (value, x, converged) in zooms:
+        assert converged.all()
+        for r in range(len(F)):
+            bases = [measures._bloch(*angles)[None] for angles in x[r]]
+            assert f(F[r:r + 1], *bases).item() == pytest.approx(value[r], abs=1e-12)
+    for (_, _, res), (_, _, (value, x, _)) in zip(runs, zooms):
+        k = int(np.argmin(value))
+        assert res.converged[0]
+        assert res.value[0] == value[k] and (res.theta[0], res.phi[0]) == tuple(x[k, 0])
+
+
+def _noisy_pairs(count):
+    """Fano forms of the (1, 2) and (1, 3) pairs of noisy seeded 3-qubit states."""
+    out = []
+    for i in range(count // 2):
+        rho = apply_uniform(pure_to_density(random_pure(3, 200 + i)),
+                            make_channel(("pdc", "dpc", "adc")[i % 3], 0.25))
+        out += [measures._fano(r) for r in measures.nodal_pairs(rho, 1)]
+    return np.array(out)
+
+
+SEARCHES = {
+    "cd_first": lambda F: measures._discord(F, "first"),
+    "cd_second": lambda F: measures._discord(F, "second"),
+    "lw_one_sided": lambda F: measures._local_work(F, "one_sided"),
+    "lw_two_sided": lambda F: measures._local_work(F, "two_sided"),
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_search_row_independent_of_stack(search):
+    """A row of a 64-row batched search has the value, angles and converged
+    flag, bit for bit, of the same row searched alone."""
+    F = _noisy_pairs(64)
+    stacked = SEARCHES[search](F)
+    for r in range(0, 64, 9):
+        alone = SEARCHES[search](F[r:r + 1])
+        assert [v[0] for v in astuple(alone)] == [v[r] for v in astuple(stacked)], r
+
+
+@pytest.mark.parametrize("grid,count", [((60, 30), 841), (measures.LW_GRID, 57),
+                                        ((24, 12), 121), ((8, 5), 13), ((7, 5), 22)])
+def test_basis_grid_holds_each_basis_once(grid, count):
+    n, tg, pg = measures._basis_grid(*grid)
+    assert len(n) == len(tg) == len(pg) == count
+    assert np.allclose(n, measures._bloch(tg, pg))
+    # n and m are one basis when |n . m| = 1
+    same = np.abs(n @ n.T) > 1 - 1e-9
+    assert np.array_equal(same, np.eye(count, dtype=bool))
+    phis = np.linspace(0.0, 2 * np.pi, grid[0], endpoint=False)
+    thetas = np.linspace(0.0, np.pi, grid[1])
+    full = measures._bloch(thetas[:, None], phis[None, :]).reshape(-1, 3)
+    assert np.all(np.abs(full @ n.T).max(axis=1) > 1 - 1e-12)  # no basis dropped
+
+
+def test_pure_pairs_discord_is_marginal_entropy():
+    """A pure pair (every N=2 Haar sample) has cd = qd = S(rho_A) measured on
+    either side; pure marginals also reach |r| = 1 and the log of zero."""
+    cfg = SamplerConfig(2, count=12, master_seed=4)
+    rhos = [pure_to_density(sample_state(cfg, i)) for i in range(cfg.count)]
+    rhos.append(pure_to_density(PureState.basis(2, 2)))
+    for direction in ("left", "right"):
+        values, _ = evaluate_block(rhos, ["cd", "qd"], 1, direction)
+        for (cd, qd), rho in zip(values, rhos):
+            s_a = von_neumann_entropy(partial_trace(rho, (1,)))
+            assert cd == pytest.approx(s_a, abs=1e-9)
+            assert qd == pytest.approx(s_a, abs=1e-9)
+
+
+def _haar_unitary(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _bell_diagonal_states():
+    """(c, rho) for Bell-diagonal rho = (I + sum_j c_j sigma_j x sigma_j) / 4
+    after random local unitaries, and after small x rotations that tilt the
+    optimal axis (z) off the grid's pole but not as far as its next row."""
+    rng = np.random.default_rng(12)
+    paulis = [PAULI[k] for k in "XYZ"]
+    tilt = [np.cos(a / 2) * np.eye(2) - 1j * np.sin(a / 2) * PAULI["X"] for a in (0.03, -0.05)]
+    out = []
+    while len(out) < 14:
+        c = rng.uniform(-1, 1, 3)
+        if len(out) >= 12:
+            c[2] = np.sign(c[2]) * (np.max(np.abs(c)) + 0.1)
+        m = (np.eye(4) + sum(cj * np.kron(p, p) for cj, p in zip(c, paulis))) / 4
+        if np.linalg.eigvalsh(m)[0] < 0:
+            continue
+        u = np.kron(*tilt) if len(out) >= 12 else np.kron(_haar_unitary(rng), _haar_unitary(rng))
+        out.append((c, DensityMatrix(2, u @ m @ u.conj().T)))
+    return out
+
+
+def test_bell_diagonal_matches_luo_closed_form():
+    """A Bell-diagonal state has classical correlation 1 - h((1 + c) / 2),
+    c = max_j |c_j| (Luo, PRA 77, 042303 (2008)), from either side and after
+    any local unitary. With no local Bloch vectors, the one-sided local work
+    log2(4) - min_n [1 + h((1 + |Tn|) / 2)] is the same number."""
+    for c, rho2 in _bell_diagonal_states():
+        q = (1 + np.max(np.abs(c))) / 2
+        want = 1 + q * np.log2(q) + (1 - q) * np.log2(1 - q)
+        for side in ("first", "second"):
+            res = classical_discord_detailed(rho2, side)
+            assert res.converged and res.value == pytest.approx(want, abs=1e-7)
+            assert quantum_discord(rho2, side) == pytest.approx(
+                mutual_information(rho2) - want, abs=1e-7)
+        assert local_work(rho2, "one_sided") == pytest.approx(want, abs=1e-7)
 
 
 def test_import_leaves_scipy_out():

@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cclab.sampling import (FitError, SamplerConfig, decay_rate,
+from cclab.channels import apply_uniform, make_channel
+from cclab.measures import evaluate_measures
+from cclab.sampling import (BLOCK, FitError, SamplerConfig, decay_rate,
                             ensemble_sweep, evaluate_ensemble, fit_bounds,
                             sample_state, summarize)
+from cclab.states import pure_to_density
 
 
 def test_sampler_config_validation():
@@ -73,6 +76,25 @@ def test_evaluate_ensemble_thread_invariance():
     one = evaluate_ensemble(cfg, "pdc", 0.3, ["dcmax", "mi"], threads=1)
     many = evaluate_ensemble(cfg, "pdc", 0.3, ["dcmax", "mi"], threads=8)
     assert np.array_equal(one, many)
+
+
+def test_evaluate_ensemble_blocks_match_single_states():
+    """Three blocks and a part of one give, bit for bit, the values of each
+    state evaluated alone, on 1 thread and on 2."""
+    cfg = SamplerConfig(3, count=3 * BLOCK + 5, master_seed=21)
+    kinds = ["cd", "qd", "lw_half", "mi", "cmax", "dcmax"]
+    ch = make_channel("adc", 0.3)
+    alone = np.array([evaluate_measures(apply_uniform(pure_to_density(sample_state(cfg, i)), ch),
+                                        kinds, 2, "right") for i in range(cfg.count)])
+    for threads in (1, 2):
+        assert np.array_equal(
+            evaluate_ensemble(cfg, "adc", 0.3, kinds, 2, "right", threads=threads), alone)
+
+
+def test_criterion_9_count_spans_blocks():
+    # criterion 9 compares 1 and 8 threads on 100 samples; that is a real
+    # split only when they fall into more than one block
+    assert 100 > BLOCK
 
 
 def test_evaluate_ensemble_unknown_measure():
