@@ -5,9 +5,8 @@ from .states import (DensityMatrix, PureState, partial_trace,
                      partial_transpose, pauli_expectation, pure_to_density,
                      von_neumann_entropy)
 from .channels import KrausChannel, apply_local, apply_uniform, make_channel
-from .correlators import (correlator, correlator_set, distributed_cmax,
-                          distributed_correlator, genuine_max, nongenuine_max,
-                          parse_index)
+from .correlators import (correlator, distributed_cmax, distributed_correlator,
+                          genuine_max, parse_index)
 from .measures import (classical_discord, distributed_measure,
                        entanglement_of_formation, koashi_winter_check,
                        local_work, log_negativity, mutual_information,

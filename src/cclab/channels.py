@@ -1,12 +1,14 @@
 """Local single-qubit Kraus channels: phase damping (PDC), depolarizing (DPC)
-and amplitude damping (ADC), applied site by site to a density matrix."""
+and amplitude damping (ADC), applied site by site to a stack of density
+matrices through the channel's superoperator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .states import PAULI, DensityMatrix, check_sites
+from .states import PAULI, DensityMatrix, check_sites, stack_qubits
 
 KINDS = ("pdc", "dpc", "adc")
 
@@ -21,6 +23,12 @@ class KrausChannel:
         total = sum(K.conj().T @ K for K in self.kraus_ops)
         if np.max(np.abs(total - np.eye(2))) > 1e-12:
             raise ValueError("Kraus operators violate completeness relation")
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """S = sum_K K x conj(K) as S[r, c, r', c'], so that
+        (sum_K K rho K^dagger)[r, c] = sum_{r', c'} S[r, c, r', c'] rho[r', c']."""
+        return sum(np.kron(K, K.conj()) for K in self.kraus_ops).reshape(2, 2, 2, 2)
 
 
 def make_channel(kind: str, p: float) -> KrausChannel:
@@ -43,18 +51,17 @@ def make_channel(kind: str, p: float) -> KrausChannel:
     return KrausChannel(kind, float(p), ops)
 
 
-def _apply_single_site(mat: np.ndarray, ops, site0: int, n: int) -> np.ndarray:
-    """One-site CPTP map on the flattened 2^n x 2^n matrix (0-based site)."""
-    t = mat.reshape([2] * (2 * n))
-    out = np.zeros_like(t)
-    for K in ops:
-        # contract K with the row axis and K^dagger with the column axis
-        term = np.tensordot(K, t, axes=([1], [site0]))
-        term = np.moveaxis(term, 0, site0)
-        term = np.tensordot(term, K.conj(), axes=([n + site0], [1]))
-        term = np.moveaxis(term, -1, n + site0)
-        out += term
-    return out.reshape(mat.shape)
+def apply_stack(mats: np.ndarray, ch: KrausChannel, sites) -> np.ndarray:
+    """Apply `ch` independently to each qubit in `sites` (1-based, already
+    checked) of every matrix of a (B, 2^n, 2^n) stack: one contraction with
+    the superoperator per site."""
+    b, n = len(mats), stack_qubits(mats)
+    for s in sites:
+        # axes: b, row bits before s, row bit s, row bits after s, the same for columns
+        t = mats.reshape(b, 2 ** (s - 1), 2, 2 ** (n - s), 2 ** (s - 1), 2, 2 ** (n - s))
+        t = np.tensordot(ch.superop, t, axes=([2, 3], [2, 5]))  # new bits s first
+        mats = np.moveaxis(t, (0, 1), (2, 5)).reshape(mats.shape)
+    return mats
 
 
 def apply_local(rho: DensityMatrix, ch: KrausChannel, sites) -> DensityMatrix:
@@ -63,10 +70,7 @@ def apply_local(rho: DensityMatrix, ch: KrausChannel, sites) -> DensityMatrix:
     Sequential single-site maps on disjoint sites; identical to the full
     tensor-product Kraus sum by linearity."""
     sites = check_sites(sites, rho.n_qubits)
-    mat = rho.matrix
-    for s in sites:
-        mat = _apply_single_site(mat, ch.kraus_ops, s - 1, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, mat, validate=False)
+    return DensityMatrix(rho.n_qubits, apply_stack(rho.matrix[None], ch, sites)[0], validate=False)
 
 
 def apply_uniform(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:

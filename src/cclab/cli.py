@@ -47,8 +47,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.measures:
-            raise ValueError("measure list must not be empty")
+        if not (self.measures and self.channels and self.p_grid):
+            raise ValueError("measures, channels and p_grid must not be empty")
         for ch in self.channels:
             if ch not in KINDS and ch != "none":
                 raise ValueError(f"unknown channel {ch!r}")
@@ -319,7 +319,7 @@ def _cmd_measure(args) -> int:
     rho = load_state(args.state)
     if not 1 <= args.nodal <= rho.n_qubits:
         raise ValueError(f"nodal qubit {args.nodal} outside [1, {rho.n_qubits}]")
-    values, searches = evaluate_block([rho], [args.kind], args.nodal, args.direction)
+    values, searches = evaluate_block(rho.matrix[None], [args.kind], args.nodal, args.direction)
     out = {"value": float(values[0, 0]), "kind": args.kind}
     if searches:  # a search-backed kind: did every pair's search converge
         out["converged"] = all(bool(s.converged.all()) for s in searches.values())

@@ -1,12 +1,14 @@
-"""Classical correlators: rescaled Pauli expectations, genuine/non-genuine
-maxima, the full per-subset correlator set and nodal-sum distributed
-correlators."""
+"""Classical correlators: rescaled Pauli expectations and their genuine
+maxima on the full register, and nodal-sum distributed correlators read from
+the Fano forms of the (nodal, i) pairs."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .states import DensityMatrix, nodal_pairs, partial_trace, pauli_expectation
+import numpy as np
+
+from .states import (PAULI_LABELS, DensityMatrix, fano, nodal_pairs, ordered_sum,
+                     pauli_expectation)
 
 MODES = ("same_pauli", "full_search")
 
@@ -51,49 +53,32 @@ def genuine_max(rho: DensityMatrix, mode: str = "same_pauli"):
     return best, best_labels
 
 
-def nongenuine_max(rho: DensityMatrix, keep, mode: str = "same_pauli"):
-    """genuine_max of the reduced state on the kept qubits (|keep| < N)."""
-    if len(tuple(keep)) >= rho.n_qubits:
-        raise ValueError("keep must be a strict subset for non-genuine correlators")
-    return genuine_max(partial_trace(rho, keep), mode)
+def _pair_fano(rho: DensityMatrix, nodal: int) -> np.ndarray:
+    return fano(nodal_pairs(rho.matrix[None], nodal)[0])
 
 
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """Per subset size k, a map from each k-qubit subset to (C_k^max, labels)."""
-    n_qubits: int
-    levels: dict
-
-    def values_at(self, k: int):
-        return [v for v, _ in self.levels[k].values()]
-
-
-def correlator_set(rho: DensityMatrix, mode: str = "same_pauli") -> CorrelatorSet:
-    n = rho.n_qubits
-    levels = {}
-    for k in range(1, n + 1):
-        entries = {}
-        for subset in itertools.combinations(range(1, n + 1), k):
-            if k == n:
-                entries[subset] = genuine_max(rho, mode)
-            else:
-                entries[subset] = nongenuine_max(rho, subset, mode)
-        levels[k] = entries
-    return CorrelatorSet(n, levels)
+def fano_cmax(F: np.ndarray, mode: str = "same_pauli") -> np.ndarray:
+    """max over Pauli labels (j, k) shared by the pairs of sum_i |F_i[j, k]|,
+    for Fano forms F (..., pairs, 4, 4): for one pair its maximal correlator,
+    over the (nodal, i) pairs the shared-direction distributed maximum."""
+    t = np.abs(F[..., 1:, 1:])
+    if mode == "same_pauli":
+        t = np.diagonal(t, axis1=-2, axis2=-1)
+    elif mode == "full_search":
+        t = t.reshape(t.shape[:-2] + (9,))
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    return ordered_sum(t.swapaxes(-2, -1)).max(axis=-1)
 
 
 def distributed_correlator(rho: DensityMatrix, pair_labels, nodal: int = 1) -> float:
     """Sum of pairwise correlators C_{j1 ji} over pairs (nodal, i)."""
-    total = 0.0
-    for rho2 in nodal_pairs(rho, nodal):
-        total += correlator(rho2, pair_labels)
-    return total
+    j, k = (PAULI_LABELS.index(lab.upper()) for lab in pair_labels)  # ValueError unless two
+    return float(ordered_sum(np.abs(_pair_fano(rho, nodal)[:, j, k])))
 
 
 def distributed_cmax(rho: DensityMatrix, nodal: int = 1, mode: str = "same_pauli") -> float:
     """Maximal distributed pair correlator over pairs (nodal, i), with one
     Pauli assignment shared by every pair: max_j sum_i C_{jj}(rho_{1i}).
     The per-pair maxima sum is distributed_measure(rho, "cmax")."""
-    pairs = list(nodal_pairs(rho, nodal))
-    return max(sum(correlator(r2, labels) for r2 in pairs)
-               for labels in _candidates(2, mode))
+    return float(fano_cmax(_pair_fano(rho, nodal), mode))

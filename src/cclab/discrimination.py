@@ -3,7 +3,7 @@ probe: constant difference means phase damping, linear-in-p means amplitude
 damping, power-N decay means depolarizing."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,10 @@ class ProbeTrace:
 class DiscriminationVerdict:
     label: str  # pdc | adc | dpc | inconclusive
     residuals: dict
-    fitted_params: dict = field(default_factory=dict)
 
 
 def _rms(x) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
-
-
-def _fit_affine(p, delta):
-    m, c = np.polyfit(p, delta, 1)
-    return (float(m), float(c)), _rms(m * p + c - delta)
 
 
 def classify(trace: ProbeTrace, threshold: float = 0.02) -> DiscriminationVerdict:
@@ -62,21 +56,21 @@ def classify(trace: ProbeTrace, threshold: float = 0.02) -> DiscriminationVerdic
     N = trace.n_qubits
 
     res_pdc = _rms(delta)
-    (a, b), res_adc = _fit_affine(p, delta)
+    m, c = np.polyfit(p, delta, 1)
+    res_adc = _rms(m * p + c - delta)
     dpc_model = c_before * (1 - np.abs(1 - 4 * p / 3) ** N)
     res_dpc = _rms(dpc_model - delta)
     residuals = {"pdc": res_pdc, "adc": res_adc, "dpc": res_dpc}
-    params = {"adc": {"slope": a, "intercept": b}}
 
     if res_pdc <= FLAT_THRESHOLD:
-        return DiscriminationVerdict("pdc", residuals, params)
+        return DiscriminationVerdict("pdc", residuals)
 
     best, second = sorted(("adc", "dpc"), key=residuals.get)
     if residuals[best] > RESIDUAL_CAP:
-        return DiscriminationVerdict("inconclusive", residuals, params)
+        return DiscriminationVerdict("inconclusive", residuals)
     if residuals[second] - residuals[best] < threshold:
-        return DiscriminationVerdict("inconclusive", residuals, params)
-    return DiscriminationVerdict(best, residuals, params)
+        return DiscriminationVerdict("inconclusive", residuals)
+    return DiscriminationVerdict(best, residuals)
 
 
 def gw_probe_state(alpha: float, beta: float, gamma1: float = 0.0,

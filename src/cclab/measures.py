@@ -3,23 +3,25 @@ versions: mutual information, classical/quantum discord, local work,
 logarithmic negativity, entanglement of formation, plus the Koashi-Winter
 bound check.
 
-Discord and local work minimize an entropy over rank-1 projective measurement
-bases, computed from each pair's real Fano form with 3-vector algebra.
-`_minimize` is the one search routine for all of them: for a whole stack of
-pairs at once, a grid of distinct bases, then a lockstep zoom grid.
+Every measure reads one pair table, `_Pairs`: a block of states, their
+(nodal, i) pairs, reduced once, and the pairs' real Fano forms. Discord and
+local work minimize an entropy over rank-1 projective measurement bases,
+computed from the Fano forms with 3-vector algebra. `_minimize` is the one
+search routine for all of them: for a whole stack of pairs at once, a grid of
+distinct bases, then a lockstep zoom grid. The one-pair public functions are
+the B = 1 case of the same kernels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 from . import correlators
-from .states import (DensityMatrix, PAULI, PAULI_LABELS, nodal_pairs,
-                     partial_trace, partial_transpose, pauli_operator,
-                     shannon_entropy, von_neumann_entropy)
+from .states import (PAULI, DensityMatrix, entropy_stack, fano, nodal_pairs,
+                     ordered_sum, partial_transpose_stack, shannon_entropy,
+                     stack_qubits)
 
 GRID_PHI = 60
 GRID_THETA = 30
@@ -42,26 +44,34 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"expected a 2-qubit state, got {rho.n_qubits} qubits")
 
 
-def mutual_information(rho2: DensityMatrix) -> float:
-    """I = S(A) + S(B) - S(AB), in bits."""
-    _require_two_qubits(rho2)
-    sa = von_neumann_entropy(partial_trace(rho2, (1,)))
-    sb = von_neumann_entropy(partial_trace(rho2, (2,)))
-    sab = von_neumann_entropy(rho2)
-    return max(0.0, sa + sb - sab)
+def _qubit_entropy(r):
+    """Entropy of qubits of Bloch radius r, in bits."""
+    return shannon_entropy(np.stack([1 + r, 1 - r], axis=-1) / 2)
 
 
-# row 4 i + j: (sigma_i x sigma_j)^T flattened, so that row . rho.ravel() is
-# tr(rho sigma_i x sigma_j)
-_PAULI_PRODUCTS = np.array([pauli_operator(ij).T.ravel() for ij in product(PAULI_LABELS, repeat=2)])
+def _mutual_information(rho2s, F):
+    """I = S(A) + S(B) - S(AB) of each pair, the marginal entropies from the
+    Bloch radii."""
+    s_a, s_b = _qubit_entropy(np.linalg.norm([F[:, 1:, 0], F[:, 0, 1:]], axis=-1))
+    return np.maximum(0.0, s_a + s_b - entropy_stack(rho2s))
 
 
-def _fano(rho2: DensityMatrix) -> np.ndarray:
-    """Fano form F[i, j] = tr(rho sigma_i x sigma_j), sigma_0 = I (Horodecki &
-    Horodecki, PRA 54, 1838 (1996)): F[1:, 0] and F[0, 1:] are the Bloch
-    vectors a and b of qubits 1 and 2, F[1:, 1:] their correlation matrix T."""
-    _require_two_qubits(rho2)
-    return (_PAULI_PRODUCTS @ rho2.matrix.ravel()).real.reshape(4, 4)
+def _log_negativity(rho2s):
+    """log2 of the trace norm of each pair's partial transpose; 0 if PPT."""
+    pt = partial_transpose_stack(rho2s, (2,))
+    return np.maximum(0.0, np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)))
+
+
+_YY = np.kron(PAULI["Y"], PAULI["Y"])
+
+
+def _entanglement_of_formation(rho2s):
+    """h((1 + sqrt(1 - C^2)) / 2) of each pair's Wootters concurrence C, from
+    the spin-flipped spectrum."""
+    R = rho2s @ _YY @ rho2s.conj() @ _YY
+    lam = np.sqrt(np.clip(np.sort(np.linalg.eigvals(R).real, axis=-1)[..., ::-1], 0.0, None))
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _qubit_entropy(np.sqrt(np.maximum(0.0, 1 - c**2)))
 
 
 def _dot(v, n):
@@ -206,8 +216,7 @@ def _discord(F, measured_side: str, grid=(GRID_PHI, GRID_THETA),
         raise ValueError(f"measured_side must be 'first' or 'second', got {measured_side!r}")
     if measured_side == "first":
         F = F.transpose(0, 2, 1)
-    r = np.linalg.norm(F[:, 1:, 0], axis=1)  # the unmeasured qubit's Bloch radius
-    s_un = shannon_entropy(np.stack([1 + r, 1 - r], axis=-1) / 2)
+    s_un = _qubit_entropy(np.linalg.norm(F[:, 1:, 0], axis=1))
     opt = _minimize(_conditional_entropy, F, 1, grid, refine, starts=3)
     return replace(opt, value=np.maximum(0.0, s_un - opt.value))
 
@@ -224,11 +233,23 @@ def _local_work(F, mode: str, refine: bool = True) -> OptimizedMeasure:
     return replace(opt, value=np.maximum(0.0, 2.0 - opt.value))
 
 
+def _pair_value(rho2: DensityMatrix, kind: str, side: str = "second") -> float:
+    """A registry pair measure of one 2-qubit state: the B = 1 block."""
+    _require_two_qubits(rho2)
+    return float(_Pairs(rho2.matrix[None], 1, side)[kind][0])
+
+
+def mutual_information(rho2: DensityMatrix) -> float:
+    """I = S(A) + S(B) - S(AB), in bits."""
+    return _pair_value(rho2, "mi")
+
+
 def classical_discord_detailed(rho2: DensityMatrix, measured_side: str = "second",
                                grid=(GRID_PHI, GRID_THETA), refine: bool = True) -> OptimizedMeasure:
     """CD = S(unmeasured) - min over rank-1 projective bases of the average
     conditional entropy; measurement on `measured_side` ("first" / "second")."""
-    opt = _discord(_fano(rho2)[None], measured_side, grid, refine)
+    _require_two_qubits(rho2)
+    opt = _discord(fano(rho2.matrix[None]), measured_side, grid, refine)
     return OptimizedMeasure(*(float(v[0]) for v in (opt.value, opt.theta, opt.phi)),
                             bool(opt.converged[0]))
 
@@ -239,7 +260,7 @@ def classical_discord(rho2: DensityMatrix, measured_side: str = "second") -> flo
 
 def quantum_discord(rho2: DensityMatrix, measured_side: str = "second") -> float:
     """D = I - CD, clipped to be non-negative."""
-    return float(_Pairs([rho2], measured_side)["qd"][0])
+    return _pair_value(rho2, "qd", measured_side)
 
 
 def local_work(rho2: DensityMatrix, mode: str = "two_sided", refine: bool = True) -> float:
@@ -248,74 +269,60 @@ def local_work(rho2: DensityMatrix, mode: str = "two_sided", refine: bool = True
 
     mode "two_sided" optimizes both sides jointly; "one_sided" dephases only
     the first qubit."""
-    return float(_local_work(_fano(rho2)[None], mode, refine).value[0])
+    _require_two_qubits(rho2)
+    return float(_local_work(fano(rho2.matrix[None]), mode, refine).value[0])
 
 
 def log_negativity(rho2: DensityMatrix) -> float:
     """log2 of the trace norm of the partial transpose; 0 for PPT states."""
-    _require_two_qubits(rho2)
-    pt = partial_transpose(rho2, (2,))
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-    return max(0.0, float(np.log2(trace_norm)))
-
-
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
-
-
-def concurrence(rho2: DensityMatrix) -> float:
-    """Wootters concurrence from the spin-flipped spectrum."""
-    _require_two_qubits(rho2)
-    yy = np.kron(PAULI["Y"], PAULI["Y"])
-    R = rho2.matrix @ yy @ rho2.matrix.conj() @ yy
-    evals = np.linalg.eigvals(R).real
-    lam = np.sqrt(np.clip(np.sort(evals)[::-1], 0.0, None))
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return _pair_value(rho2, "ln")
 
 
 def entanglement_of_formation(rho2: DensityMatrix) -> float:
-    c = concurrence(rho2)
-    return _binary_entropy((1 + np.sqrt(max(0.0, 1 - c**2))) / 2)
+    return _pair_value(rho2, "eof")
 
 
-# The measure registry: name -> (pair, f). A pair measure f(pairs) gets the
-# _Pairs of a block of states, may read other registry values of the same
-# pairs through it, and gives one value per pair (or a batched search's
-# OptimizedMeasure). A whole-state measure f(rho, nodal) sees the full
-# register. The lambdas look functions up when they run, so a rebound module
-# attribute reaches every call.
+# The measure registry: name -> (pair, f). f gets the _Pairs of a block of
+# states and may read other registry values of the same block through it. A
+# pair measure gives one value per pair (or a batched search's
+# OptimizedMeasure), summed over each state's pairs; a whole-state measure
+# gives one value per state. The lambdas look functions up when they run, so
+# a rebound module attribute reaches every call.
 MEASURES = {
-    "cmax": (True, lambda pairs: [correlators.genuine_max(r)[0] for r in pairs.rho2s]),
+    "cmax": (True, lambda pairs: correlators.fano_cmax(pairs.fano[:, None])),
     "cd": (True, lambda pairs: _discord(pairs.fano, pairs.side)),
     "lw": (True, lambda pairs: _local_work(pairs.fano, "two_sided")),
     "qd": (True, lambda pairs: np.maximum(0.0, pairs["mi"] - pairs["cd"])),
-    "mi": (True, lambda pairs: [mutual_information(r) for r in pairs.rho2s]),
-    "ln": (True, lambda pairs: [log_negativity(r) for r in pairs.rho2s]),
-    "eof": (True, lambda pairs: [entanglement_of_formation(r) for r in pairs.rho2s]),
+    "mi": (True, lambda pairs: _mutual_information(pairs.rho2s, pairs.fano)),
+    "ln": (True, lambda pairs: _log_negativity(pairs.rho2s)),
+    "eof": (True, lambda pairs: _entanglement_of_formation(pairs.rho2s)),
     # "lw_half" (half the one-sided work, dephasing the nodal qubit) is the
     # local-work variant that tracks the published per-pair table values
     "lw_one_sided": (True, lambda pairs: _local_work(pairs.fano, "one_sided")),
     "lw_half": (True, lambda pairs: pairs["lw_one_sided"] / 2),
-    # shared-direction distributed correlator maximum
-    "dcmax": (False, lambda rho, nodal: correlators.distributed_cmax(rho, nodal)),
-    "genuine_cmax": (False, lambda rho, nodal: correlators.genuine_max(rho)[0]),
+    # shared-direction distributed correlator maximum, from the same table
+    "dcmax": (False, lambda pairs: correlators.fano_cmax(pairs.fano.reshape(len(pairs.mats), -1, 4, 4))),
+    "genuine_cmax": (False, lambda pairs: [correlators.genuine_max(
+        DensityMatrix(stack_qubits(pairs.mats), m, validate=False))[0] for m in pairs.mats]),
 }
 
 
 class _Pairs:
-    """The reduced pairs of a block of states, their registry values (one
-    entry per pair) and the searches behind them: each pair measure runs once
-    per block, however many others read it."""
+    """A block of states (B, 2^n, 2^n), its (nodal, i) pairs (state-major,
+    reduced once on first use), their Fano forms, registry values and searches:
+    each measure runs once per block, however many others read it."""
 
-    def __init__(self, rho2s: list, side: str):
-        self.rho2s, self.side = rho2s, side
+    def __init__(self, mats: np.ndarray, nodal: int, side: str):
+        self.mats, self.nodal, self.side = mats, nodal, side
         self.searches, self._values = {}, {}
 
     @cached_property
+    def rho2s(self) -> np.ndarray:
+        return nodal_pairs(self.mats, self.nodal).reshape(-1, 4, 4)
+
+    @cached_property
     def fano(self) -> np.ndarray:
-        return np.array([_fano(r) for r in self.rho2s]).reshape(-1, 4, 4)
+        return fano(self.rho2s)
 
     def __getitem__(self, kind: str) -> np.ndarray:
         if kind not in self._values:
@@ -336,32 +343,23 @@ def check_measures(kinds) -> None:
             raise ValueError(f"unknown measure {kind!r}, expected one of {tuple(MEASURES)}")
 
 
-def evaluate_block(rhos, kinds, nodal: int = 1, direction: str = "left"):
-    """Registry measures (len(rhos), len(kinds)) of states of one size, and
-    the searches run on their (nodal, i) pairs (state-major). The pairs are
-    reduced once and each pair measure runs once on all of them."""
+def evaluate_block(mats: np.ndarray, kinds, nodal: int = 1, direction: str = "left"):
+    """Registry measures (B, len(kinds)) of a stack of states (B, 2^n, 2^n),
+    and the searches run on their (nodal, i) pairs (state-major). The pairs
+    are reduced once and each measure runs once on all of them."""
     check_measures(kinds)
-    out = np.empty((len(rhos), len(kinds)))
-    pairs = None
+    pairs = _Pairs(mats, nodal, MEASURED_SIDE[direction])
+    out = np.empty((len(mats), len(kinds)))
     for j, kind in enumerate(kinds):
-        pair, f = MEASURES[kind]
-        if not pair:
-            out[:, j] = [f(rho, nodal) for rho in rhos]
-            continue
-        if pairs is None:
-            pairs = _Pairs([r2 for rho in rhos for r2 in nodal_pairs(rho, nodal)],
-                           MEASURED_SIDE[direction])
-        total = 0.0  # added column by column, so a state's sum is the same in any block
-        for column in pairs[kind].reshape(len(rhos), -1).T:
-            total = total + column
-        out[:, j] = total
-    return out, (pairs.searches if pairs is not None else {})
+        values = pairs[kind]
+        out[:, j] = ordered_sum(values.reshape(len(mats), -1)) if MEASURES[kind][0] else values
+    return out, pairs.searches
 
 
 def evaluate_measures(rho: DensityMatrix, kinds, nodal: int = 1,
                       direction: str = "left") -> list[float]:
     """Registry measures of one state, in the order of `kinds`."""
-    return evaluate_block([rho], kinds, nodal, direction)[0][0].tolist()
+    return evaluate_block(rho.matrix[None], kinds, nodal, direction)[0][0].tolist()
 
 
 def distributed_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
@@ -383,11 +381,12 @@ def koashi_winter_check(rho: DensityMatrix, nodal: int = 1, refine: bool = True,
     n = rho.n_qubits
     if n < 3:
         raise ValueError("need at least 3 qubits")
-    pairs = list(nodal_pairs(rho, nodal))
-    shifted = np.array([_fano(r) for r in pairs[1:] + pairs[:1]])
+    rho2s = nodal_pairs(rho.matrix[None], nodal)[0]
+    F = fano(rho2s)
+    cds = _discord(np.roll(F, -1, axis=0), "second", grid, refine).value
     lhs = 0.0
-    for rho2, cd in zip(pairs, _discord(shifted, "second", grid, refine).value.tolist()):
-        lhs += entanglement_of_formation(rho2)
+    for eof, cd in zip(_entanglement_of_formation(rho2s).tolist(), cds.tolist()):
+        lhs += eof
         lhs += cd
-    bound = (n - 1) * von_neumann_entropy(partial_trace(rho, (nodal,)))
+    bound = (n - 1) * float(_qubit_entropy(np.linalg.norm(F[0, 1:, 0])))
     return {"lhs": lhs, "bound": bound, "holds": lhs <= bound + 1e-8}

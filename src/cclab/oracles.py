@@ -45,6 +45,8 @@ def pdc_multiplier(N: int, k: int, p: float, plane: str = "xy") -> float:
 def dpc_genuine_multiplier(N: int, p: float) -> float:
     """(1 - 4p/3)^N decay of genuine same-Pauli correlators under uniform
     depolarizing noise."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     return (1 - 4 * p / 3) ** N

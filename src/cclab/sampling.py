@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import make_channel, apply_uniform
+from .channels import apply_stack, make_channel
 from .measures import evaluate_block
-from .states import PureState, pure_to_density
+from .states import PureState
 
 ENSEMBLES = ("haar", "w_class")
 # samples per evaluate_ensemble block: their pairs share one search per measure
@@ -44,12 +44,8 @@ class SamplerConfig:
             raise ValueError("w_class ensemble requires n_qubits = 3")
 
 
-def _rng_for(cfg: SamplerConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(index,)))
-
-
 def sample_state(cfg: SamplerConfig, index: int) -> PureState:
-    rng = _rng_for(cfg, index)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(index,)))
     if cfg.ensemble == "haar":
         a = rng.standard_normal(2**cfg.n_qubits) + 1j * rng.standard_normal(2**cfg.n_qubits)
         return PureState(cfg.n_qubits, a / np.linalg.norm(a))
@@ -77,11 +73,10 @@ class DistributionSummary:
     moment_skewness: float
     bin_edges: np.ndarray = field(repr=False)
     frequencies: np.ndarray = field(repr=False)
-    failures: int = 0
 
 
 def summarize(values: np.ndarray, measure: str, channel: str, p: float,
-              bins: int = 50, failures: int = 0) -> DistributionSummary:
+              bins: int = 50) -> DistributionSummary:
     values = np.asarray(values, dtype=float)
     mean = float(np.mean(values))
     std = float(np.std(values))
@@ -95,25 +90,26 @@ def summarize(values: np.ndarray, measure: str, channel: str, p: float,
     counts, edges = np.histogram(values, bins=bins)
     freqs = counts / values.size
     return DistributionSummary(measure, channel, float(p), values.size, mean, std,
-                               median, pearson, m3, edges, freqs, failures)
+                               median, pearson, m3, edges, freqs)
 
 
 def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
                       nodal: int = 1, direction: str = "left",
                       threads: int = 1) -> np.ndarray:
     """Per-sample measure values, shape (count, len(measures)); row order is
-    the sample index. The indices are cut into blocks of BLOCK, each evaluated
-    by one `evaluate_block`, so the values depend on the index alone, never
-    on the thread schedule."""
+    the sample index. The indices are cut into blocks of BLOCK; a block's
+    states are one (B, 2^n, 2^n) stack from the draw to `evaluate_block`, so
+    the values depend on the index alone, never on the thread schedule."""
     ch = make_channel(channel_kind, p) if channel_kind != "none" else None
     out = np.empty((cfg.count, len(measures)), dtype=float)
 
     def work(start: int):
-        rhos = []
-        for i in range(start, min(start + BLOCK, cfg.count)):
-            rho = pure_to_density(sample_state(cfg, i))
-            rhos.append(apply_uniform(rho, ch) if ch is not None else rho)
-        out[start:start + len(rhos)] = evaluate_block(rhos, measures, nodal, direction)[0]
+        stop = min(start + BLOCK, cfg.count)
+        amps = np.array([sample_state(cfg, i).amplitudes for i in range(start, stop)])
+        mats = amps[:, :, None] * amps[:, None, :].conj()
+        if ch is not None:
+            mats = apply_stack(mats, ch, range(1, cfg.n_qubits + 1))
+        out[start:stop] = evaluate_block(mats, measures, nodal, direction)[0]
 
     blocks = range(0, cfg.count, BLOCK)
     if threads <= 1:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ATOL_NORM = 1e-12
 ATOL_PSD = 1e-10
 
 PAULI = {
@@ -22,6 +21,10 @@ PAULI = {
 }
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
+# [i, j]: (sigma_i x sigma_j)^T, so that tr(rho sigma_i x sigma_j) is the sum of
+# rho * _PAULI_PAIRS[i, j]
+_PAULI_PAIRS = np.array([[np.kron(PAULI[a], PAULI[b]).T for b in PAULI_LABELS]
+                         for a in PAULI_LABELS])
 
 
 class PositivityError(ValueError):
@@ -132,10 +135,6 @@ class DensityMatrix:
             if lo < -ATOL_PSD:
                 raise PositivityError(f"minimum eigenvalue {lo} below -{ATOL_PSD}")
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         d = 2**n_qubits
@@ -158,9 +157,13 @@ def load_state(path) -> DensityMatrix:
     """Read a JSON state file (pure or density-matrix form) as a DensityMatrix."""
     with open(path) as fh:
         obj = json.load(fh)
-    if "amplitudes" in obj:
-        return pure_to_density(PureState.from_json(json.dumps(obj)))
-    return DensityMatrix.from_json(json.dumps(obj))
+    try:
+        if "amplitudes" in obj:
+            return pure_to_density(PureState.from_json(json.dumps(obj)))
+        return DensityMatrix.from_json(json.dumps(obj))
+    except (KeyError, TypeError) as exc:  # not an object, a key missing, a value of the wrong type
+        raise ValueError(f"{path}: not a state file with n_qubits and amplitudes or matrix "
+                         f"({exc!r})") from None
 
 
 def pure_to_density(psi: PureState) -> DensityMatrix:
@@ -168,91 +171,108 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(psi.n_qubits, rho, validate=False)
 
 
-def tensor(*rhos: DensityMatrix) -> DensityMatrix:
-    mat = rhos[0].matrix
-    n = rhos[0].n_qubits
-    for r in rhos[1:]:
-        mat = np.kron(mat, r.matrix)
-        n += r.n_qubits
-    return DensityMatrix(n, mat, validate=False)
+# The stack forms below work on (B, 2^n, 2^n) arrays of density matrices; the
+# DensityMatrix forms are their B = 1 case.
+
+def stack_qubits(mats: np.ndarray) -> int:
+    """n of a (B, 2^n, 2^n) stack."""
+    return int(mats.shape[-1]).bit_length() - 1
+
+
+def partial_trace_stack(mats: np.ndarray, keep) -> np.ndarray:
+    """Trace out every qubit not in `keep` (1-based indices, order preserved)
+    of each matrix of the stack."""
+    n = stack_qubits(mats)
+    keep0 = [k - 1 for k in check_sites(keep, n)]
+    if not keep0:
+        raise ValueError("keep must be non-empty")
+    drop0 = [i for i in range(n) if i not in keep0]
+    t = mats.reshape([len(mats)] + [2] * (2 * n))
+    # row axes are 1..n, column axes n+1..2n
+    t = np.transpose(t, [0] + [1 + a for a in keep0 + drop0] + [1 + n + a for a in keep0 + drop0])
+    dk, dd = 2 ** len(keep0), 2 ** len(drop0)
+    return np.einsum("zabcb->zac", t.reshape(len(mats), dk, dd, dk, dd))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in `keep` (1-based indices, order preserved)."""
-    keep = check_sites(keep, rho.n_qubits)
-    if not keep:
-        raise ValueError("keep must be non-empty")
-    n = rho.n_qubits
-    keep0 = [k - 1 for k in keep]
-    drop0 = [i for i in range(n) if i not in keep0]
-    t = rho.matrix.reshape([2] * (2 * n))
-    # row axes are 0..n-1, column axes n..2n-1
-    t = np.transpose(t, keep0 + drop0 + [n + a for a in keep0] + [n + a for a in drop0])
-    dk, dd = 2 ** len(keep0), 2 ** len(drop0)
-    t = t.reshape(dk, dd, dk, dd)
-    out = np.einsum("abcb->ac", t)
-    return DensityMatrix(len(keep0), out, validate=False)
+    out = partial_trace_stack(rho.matrix[None], keep)[0]
+    return DensityMatrix(stack_qubits(out), out, validate=False)
 
 
-def nodal_pairs(rho: DensityMatrix, nodal: int):
-    """Yield the reduced two-qubit states (nodal, i) for every i != nodal,
-    in increasing i."""
-    if not 1 <= nodal <= rho.n_qubits:
-        raise IndexError(f"nodal qubit {nodal} out of range")
-    for i in range(1, rho.n_qubits + 1):
-        if i != nodal:
-            yield partial_trace(rho, (nodal, i))
+def nodal_pairs(mats: np.ndarray, nodal: int) -> np.ndarray:
+    """The reduced two-qubit states (nodal, i) of every i != nodal, in
+    increasing i, of each state of the stack: shape (B, n - 1, 4, 4)."""
+    n = stack_qubits(mats)  # an out-of-range nodal fails check_sites
+    return np.stack([partial_trace_stack(mats, (nodal, i))
+                     for i in range(1, n + 1) if i != nodal], axis=1)
+
+
+def ordered_sum(values: np.ndarray) -> np.ndarray:
+    """values[..., 0] + values[..., 1] + ..., added in this order: a row's sum
+    does not depend on the stack it is in."""
+    total = values[..., 0]
+    for k in range(1, values.shape[-1]):
+        total = total + values[..., k]
+    return total
+
+
+def fano(pairs: np.ndarray) -> np.ndarray:
+    """Fano forms F[..., i, j] = tr(rho sigma_i x sigma_j), sigma_0 = I, of
+    two-qubit states (..., 4, 4) (Horodecki & Horodecki, PRA 54, 1838 (1996)):
+    F[1:, 0] and F[0, 1:] are the Bloch vectors a and b of qubits 1 and 2,
+    F[1:, 1:] their correlation matrix T. Elementwise: stack-independent."""
+    return (pairs[..., None, None, :, :] * _PAULI_PAIRS).sum(axis=(-2, -1)).real
+
+
+def partial_transpose_stack(mats: np.ndarray, subsystem) -> np.ndarray:
+    """Transpose the given qubits (1-based) of each matrix of the stack."""
+    n = stack_qubits(mats)
+    perm = list(range(2 * n + 1))
+    for s in check_sites(subsystem, n):
+        perm[s], perm[n + s] = perm[n + s], perm[s]
+    return np.transpose(mats.reshape([len(mats)] + [2] * (2 * n)), perm).reshape(mats.shape)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
     """Transpose the given qubits. Result is Hermitian, trace 1, possibly
     non-positive, so a plain matrix is returned."""
-    subsystem = check_sites(subsystem, rho.n_qubits)
-    n = rho.n_qubits
-    t = rho.matrix.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
-    for s in subsystem:
-        a = s - 1
-        perm[a], perm[n + a] = perm[n + a], perm[a]
-    return np.transpose(t, perm).reshape(rho.dim, rho.dim)
+    return partial_transpose_stack(rho.matrix[None], subsystem)[0]
+
+
+def entropy_stack(mats: np.ndarray) -> np.ndarray:
+    """S(rho) = -tr(rho log2 rho) of each matrix of the stack, in bits."""
+    evals = np.linalg.eigvalsh(mats)
+    lo = evals[..., 0].min()
+    if lo < -ATOL_PSD:
+        raise PositivityError(f"eigenvalue {lo} below -{ATOL_PSD}")
+    return shannon_entropy(evals)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho), in bits."""
-    evals = np.linalg.eigvalsh(rho.matrix)
-    if evals[0] < -ATOL_PSD:
-        raise PositivityError(f"eigenvalue {evals[0]} below -{ATOL_PSD}")
-    evals = np.clip(evals, 0.0, None)
-    evals = evals[evals > 1e-12]
-    return float(-np.sum(evals * np.log2(evals)))
+    return float(entropy_stack(rho.matrix[None])[0])
 
 
 def shannon_entropy(probs) -> np.ndarray:
     """Shannon entropy of each row (last axis) of outcome probabilities, in
     bits; negative entries count as zero."""
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    p = np.maximum(np.asarray(probs, dtype=float), 0.0)
     keep = p > 1e-12
     terms = np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0)
     # added column by column, in order: the same sums as np.sum over a short
     # last axis, several times faster on the optimizers' large stacks
-    total = terms[..., 0]
-    for k in range(1, terms.shape[-1]):
-        total = total + terms[..., k]
-    return -total
-
-
-def pauli_operator(labels) -> np.ndarray:
-    op = PAULI[labels[0].upper()]
-    for lab in labels[1:]:
-        op = np.kron(op, PAULI[lab.upper()])
-    return op
+    return -ordered_sum(terms)
 
 
 def pauli_expectation(rho: DensityMatrix, labels) -> float:
     """tr(sigma_{j1} x ... x sigma_{jN} rho); identity allowed per site."""
     if len(labels) != rho.n_qubits:
         raise ValueError(f"need {rho.n_qubits} labels, got {len(labels)}")
-    val = np.trace(pauli_operator(labels) @ rho.matrix)
+    op = PAULI[labels[0].upper()]
+    for lab in labels[1:]:
+        op = np.kron(op, PAULI[lab.upper()])
+    val = np.trace(op @ rho.matrix)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,28 @@ def test_heterogeneous_matches_sequential():
             big = np.kron(np.kron(Ka, np.eye(2)), Kb)
             ref += big @ rho.matrix @ big.conj().T
     assert np.allclose(out.matrix, ref, atol=1e-12)
+
+
+def _dense_kraus_sum(rho, ch, sites):
+    """sum over one Kraus operator per site in `sites` of the full-register
+    operator K rho K^dagger."""
+    out = np.zeros_like(rho.matrix)
+    for ops in itertools.product(ch.kraus_ops, repeat=len(sites)):
+        big = np.eye(1)
+        for q in range(1, rho.n_qubits + 1):
+            big = np.kron(big, ops[sites.index(q)] if q in sites else np.eye(2))
+        out += big @ rho.matrix @ big.conj().T
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_local_matches_dense_kraus_sum(n, kind):
+    rho = random_density(n, 10 + n)
+    ch = make_channel(kind, 0.37)
+    for sites in ((1,), (n,), (n, 1), tuple(range(1, n + 1))):
+        out = apply_local(rho, ch, sites)
+        assert np.max(np.abs(out.matrix - _dense_kraus_sum(rho, ch, sites))) <= 1e-15, sites
 
 
 def test_single_site_action_matches_dense_kraus_sum():

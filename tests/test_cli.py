@@ -168,6 +168,44 @@ def test_cli_correlators_command(tmp_path, capsys):
     assert out["argmax"] == "zzz"
 
 
+# state files that are not a JSON object with n_qubits and amplitudes or
+# matrix, or whose values have the wrong type
+BAD_STATES = ['[]', '[[1, 0], [0, 0]]', '{"amplitudes": [[1, 0], [0, 0]]}',
+              '{"matrix": [[[1, 0]]]}', '{"n_qubits": 1}', '{"n_qubits": 1, "matrix": 5}',
+              '{"n_qubits": 1, "amplitudes": null}']
+
+
+@pytest.mark.parametrize("text", BAD_STATES)
+def test_malformed_state_file_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    for argv in (["measure", "--state", str(path), "--kind", "mi"],
+                 ["correlators", "--state", str(path)],
+                 ["correlators", "--state", str(path), "--index", "z"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n,p", [("0", "0.3"), ("-1", "0.75")])
+def test_cli_oracle_dpc_rejects_nonpositive_n(n, p, capsys):
+    assert cli.main(["oracle", "--channel", "dpc", "--N", n, "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: N must be positive") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["p_grid", "channels"])
+def test_sweep_rejects_empty_list(key, tmp_path, capsys):
+    # an empty grid would write only a manifest and exit 0
+    with pytest.raises(ValueError, match="must not be empty"):
+        cli.config_from_dict({"measures": ["mi"], key: []})
+    path = write_config(tmp_path, **{key: []})
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_oracle_command(capsys):
     rc = cli.main(["oracle", "--channel", "dpc", "--N", "3", "--p", "0.3"])
     assert rc == 0

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cclab.correlators import (correlator, correlator_set, distributed_cmax,
-                               distributed_correlator, genuine_max,
-                               nongenuine_max, parse_index)
+from cclab.correlators import (correlator, distributed_cmax,
+                               distributed_correlator, genuine_max, parse_index)
 from cclab.measures import distributed_measure
-from cclab.states import DensityMatrix, PureState, pure_to_density
+from cclab.states import (DensityMatrix, PureState, nodal_pairs, partial_trace,
+                          pure_to_density)
 from conftest import random_density
 
 
@@ -55,22 +55,12 @@ def test_full_search_beats_same_pauli():
     assert full >= same
 
 
-def test_nongenuine_requires_strict_subset(w3):
-    with pytest.raises(ValueError):
-        nongenuine_max(w3, (1, 2, 3))
-    value, labels = nongenuine_max(w3, (1, 2))
-    # W pair marginal: C_zz = 1/3, C_xx = C_yy = 2/3
-    assert value == pytest.approx(2 / 3)
-    assert labels in (("X", "X"), ("Y", "Y"))
-
-
-def test_correlator_set_levels(w3):
-    cs = correlator_set(w3)
-    assert sorted(cs.levels) == [1, 2, 3]
-    assert len(cs.levels[2]) == 3
-    assert cs.levels[3][(1, 2, 3)][0] == pytest.approx(1.0)
-    for v in cs.values_at(2):
-        assert v == pytest.approx(2 / 3)
+def test_w_pair_marginal_genuine_max(w3):
+    # every W pair marginal: C_zz = 1/3, C_xx = C_yy = 2/3
+    for keep in ((1, 2), (1, 3), (2, 3)):
+        value, labels = genuine_max(partial_trace(w3, keep))
+        assert value == pytest.approx(2 / 3)
+        assert labels in (("X", "X"), ("Y", "Y"))
 
 
 def test_distributed_correlator_w3(w3):
@@ -92,6 +82,24 @@ def test_distributed_cmax_shared_vs_per_pair():
     per_pair = distributed_measure(rho, "cmax")
     assert per_pair >= shared - 1e-12
     assert shared == max(distributed_correlator(rho, (lab, lab)) for lab in "XYZ")
+
+
+@pytest.mark.parametrize("mode", ["same_pauli", "full_search"])
+def test_distributed_cmax_matches_pauli_expectations(mode):
+    """The Fano-form distributed maximum equals the maximum, over the
+    candidate label pairs, of the summed pair correlators from
+    pauli_expectation."""
+    rho = random_density(4, 13)
+    labels = ([(lab, lab) for lab in "XYZ"] if mode == "same_pauli"
+              else [(a, b) for a in "XYZ" for b in "XYZ"])
+    pairs = [DensityMatrix(2, m, validate=False) for m in nodal_pairs(rho.matrix[None], 2)[0]]
+    want = max(sum(correlator(r, lab) for r in pairs) for lab in labels)
+    assert distributed_cmax(rho, 2, mode) == pytest.approx(want, abs=1e-15)
+    for lab in labels:
+        assert distributed_correlator(rho, lab, 2) == pytest.approx(
+            sum(correlator(r, lab) for r in pairs), abs=1e-15)
+    with pytest.raises(ValueError):
+        distributed_cmax(rho, 2, "sideways")
 
 
 def test_distributed_nodal_validation(w3):

@@ -13,13 +13,13 @@ import cclab
 from cclab.channels import make_channel, apply_uniform
 from cclab import measures
 from cclab.measures import (classical_discord, classical_discord_detailed,
-                            concurrence, distributed_measure,
+                            distributed_measure,
                             entanglement_of_formation, evaluate_measures,
                             koashi_winter_check, local_work, log_negativity,
                             evaluate_block, mutual_information, quantum_discord)
 from cclab.sampling import SamplerConfig, sample_state
-from cclab.states import (PAULI, DensityMatrix, PureState, partial_trace,
-                          pure_to_density, von_neumann_entropy)
+from cclab.states import (PAULI, DensityMatrix, PureState, fano, nodal_pairs,
+                          partial_trace, pure_to_density, von_neumann_entropy)
 from conftest import random_density, random_pure
 
 
@@ -98,9 +98,9 @@ def test_log_negativity():
 
 
 def test_concurrence_and_eof():
-    assert concurrence(bell_rho()) == pytest.approx(1.0)
+    # concurrence 1 and 0 give EoF 1 and 0
     assert entanglement_of_formation(bell_rho()) == pytest.approx(1.0)
-    assert concurrence(product_rho()) == pytest.approx(0.0, abs=1e-8)
+    assert entanglement_of_formation(product_rho()) == pytest.approx(0.0, abs=1e-8)
     assert entanglement_of_formation(classically_correlated()) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -141,7 +141,7 @@ def test_evaluate_measures_reduces_pairs_once(monkeypatch):
     calls = []
     original = measures.nodal_pairs
     monkeypatch.setattr(measures, "nodal_pairs",
-                        lambda r, nodal: calls.append(nodal) or original(r, nodal))
+                        lambda mats, nodal: calls.append(nodal) or original(mats, nodal))
     assert evaluate_measures(rho, kinds, 2, "right") == expected
     assert calls == [2]
     with pytest.raises(ValueError, match="unknown measure"):
@@ -210,8 +210,8 @@ def _noisy_pairs(count):
     for i in range(count // 2):
         rho = apply_uniform(pure_to_density(random_pure(3, 200 + i)),
                             make_channel(("pdc", "dpc", "adc")[i % 3], 0.25))
-        out += [measures._fano(r) for r in measures.nodal_pairs(rho, 1)]
-    return np.array(out)
+        out.append(fano(nodal_pairs(rho.matrix[None], 1)[0]))
+    return np.concatenate(out)
 
 
 SEARCHES = {
@@ -255,7 +255,7 @@ def test_pure_pairs_discord_is_marginal_entropy():
     rhos = [pure_to_density(sample_state(cfg, i)) for i in range(cfg.count)]
     rhos.append(pure_to_density(PureState.basis(2, 2)))
     for direction in ("left", "right"):
-        values, _ = evaluate_block(rhos, ["cd", "qd"], 1, direction)
+        values, _ = evaluate_block(np.array([r.matrix for r in rhos]), ["cd", "qd"], 1, direction)
         for (cd, qd), rho in zip(values, rhos):
             s_a = von_neumann_entropy(partial_trace(rho, (1,)))
             assert cd == pytest.approx(s_a, abs=1e-9)

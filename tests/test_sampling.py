@@ -82,7 +82,7 @@ def test_evaluate_ensemble_blocks_match_single_states():
     """Three blocks and a part of one give, bit for bit, the values of each
     state evaluated alone, on 1 thread and on 2."""
     cfg = SamplerConfig(3, count=3 * BLOCK + 5, master_seed=21)
-    kinds = ["cd", "qd", "lw_half", "mi", "cmax", "dcmax"]
+    kinds = ["cd", "qd", "lw_half", "mi", "ln", "eof", "cmax", "dcmax", "genuine_cmax"]
     ch = make_channel("adc", 0.3)
     alone = np.array([evaluate_measures(apply_uniform(pure_to_density(sample_state(cfg, i)), ch),
                                         kinds, 2, "right") for i in range(cfg.count)])

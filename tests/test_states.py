@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from cclab.states import (DensityMatrix, PositivityError, PureState,
-                          load_state, partial_trace, partial_transpose,
+from cclab.states import (PAULI_LABELS, DensityMatrix, PositivityError, PureState,
+                          fano, load_state, partial_trace, partial_transpose,
                           pauli_expectation, pure_to_density, shannon_entropy,
-                          tensor, von_neumann_entropy)
+                          von_neumann_entropy)
 from conftest import random_density, random_pure
 
 
@@ -68,7 +68,7 @@ def test_partial_trace_bad_sites():
 def test_tensor_and_trace_roundtrip():
     a = random_density(1, 1)
     b = random_density(1, 2)
-    ab = tensor(a, b)
+    ab = DensityMatrix(2, np.kron(a.matrix, b.matrix))
     assert np.allclose(partial_trace(ab, (1,)).matrix, a.matrix, atol=1e-12)
     assert np.allclose(partial_trace(ab, (2,)).matrix, b.matrix, atol=1e-12)
 
@@ -142,6 +142,17 @@ def test_json_roundtrip(tmp_path):
     f.write_text(psi.to_json())
     loaded = load_state(f)
     assert np.allclose(loaded.matrix, pure_to_density(psi).matrix)
+
+
+def test_fano_matches_pauli_expectations():
+    """F[i, j] = tr(rho sigma_i x sigma_j) for all 16 label pairs, and a
+    state's form is the same bit for bit alone or inside a stack."""
+    rhos = [random_density(2, 20 + k) for k in range(6)]
+    stacked = fano(np.array([r.matrix for r in rhos]))
+    for rho, F in zip(rhos, stacked):
+        want = [[pauli_expectation(rho, (a, b)) for b in PAULI_LABELS] for a in PAULI_LABELS]
+        assert np.allclose(F, want, atol=1e-15)
+        assert np.array_equal(fano(rho.matrix[None])[0], F)
 
 
 def test_pauli_expectation_label_count():
