@@ -343,12 +343,17 @@ def _cmd_correlators(args) -> int:
 
 def _cmd_discriminate(args) -> int:
     if args.trace is not None:
-        samples = []
         with open(args.trace, newline="") as fh:
-            for row in csv.DictReader(fh):
-                samples.append((float(row["p"]), float(row["c_before"]),
-                                float(row["c_after"])))
-        trace = discrimination.ProbeTrace(args.N, tuple(samples))
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames or [], list(reader)
+        cols = ("p", "c_before", "c_after")
+        if not set(cols) <= set(header):
+            raise ValueError(f"{args.trace}: header {header} lacks one of {cols}")
+        for i, row in enumerate(rows, start=1):
+            if None in row.values():
+                raise ValueError(f"{args.trace}: data row {i} has fewer columns than the header")
+        trace = discrimination.ProbeTrace(
+            args.N, tuple(tuple(float(row[c]) for c in cols) for row in rows))
     else:
         probe = discrimination.gw_probe_state(args.alpha, args.beta,
                                               args.gamma1, args.gamma2)
@@ -469,12 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Bad input (a ValueError) gives one
-    "cclab: error: ..." line on stderr and exit code 2, like argparse."""
+    """Run one subcommand. Bad input (a ValueError) or an unreadable file (an
+    OSError) gives one "cclab: error: ..." line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"cclab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import correlators
-from .states import (PAULI, DensityMatrix, entropy_stack, fano, nodal_pairs,
+from .states import (DensityMatrix, entropy_stack, fano, nodal_pairs,
                      ordered_sum, partial_transpose_stack, shannon_entropy,
                      stack_qubits)
 
@@ -62,7 +62,8 @@ def _log_negativity(rho2s):
     return np.maximum(0.0, np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)))
 
 
-_YY = np.kron(PAULI["Y"], PAULI["Y"])
+# sigma_y x sigma_y
+_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
 
 
 def _entanglement_of_formation(rho2s):
@@ -302,8 +303,9 @@ MEASURES = {
     "lw_half": (True, lambda pairs: pairs["lw_one_sided"] / 2),
     # shared-direction distributed correlator maximum, from the same table
     "dcmax": (False, lambda pairs: correlators.fano_cmax(pairs.fano.reshape(len(pairs.mats), -1, 4, 4))),
-    "genuine_cmax": (False, lambda pairs: [correlators.genuine_max(
-        DensityMatrix(stack_qubits(pairs.mats), m, validate=False))[0] for m in pairs.mats]),
+    # genuine_max's value for each state, from the block's n-qubit Fano forms
+    "genuine_cmax": (False, lambda pairs: correlators.candidate_correlators(
+        fano(pairs.mats), stack_qubits(pairs.mats)).max(axis=-1)),
 }
 
 

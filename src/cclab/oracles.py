@@ -10,10 +10,10 @@ from math import comb
 
 import numpy as np
 
-from .channels import make_channel, apply_uniform
+from .channels import apply_stack, apply_uniform, make_channel
 from .correlators import correlator
-from .sampling import SamplerConfig, sample_state
-from .states import DensityMatrix, PureState, pure_to_density
+from .sampling import SamplerConfig, draw_stack
+from .states import PAULI_LABELS, DensityMatrix, PureState, fano, pure_to_density
 
 
 def pdc_xy_multiplier(N: int, k: int, p: float) -> float:
@@ -99,10 +99,11 @@ def gghz_adc_zz(theta: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 # Equivalence sweep: numeric channel engine vs the closed forms above.
 
-def _max_dev(states, outs, labels, mult: float = 1.0) -> float:
-    """Largest |C(out) - mult * C(in)| over paired input/output states."""
-    return max(abs(correlator(o, labels) - mult * correlator(r, labels))
-               for r, o in zip(states, outs))
+def _max_dev(F_in, F_out, labels, mult: float = 1.0) -> float:
+    """Largest |C(out) - mult * C(in)| over paired input/output Fano forms
+    (B, 4, ..., 4)."""
+    idx = (Ellipsis,) + tuple(PAULI_LABELS.index(lab) for lab in labels)
+    return float(np.max(np.abs(np.abs(F_out[idx]) - mult * np.abs(F_in[idx]))))
 
 
 def oracle_equivalence_sweep(n_values=(2, 3, 4, 5), p_values=None,
@@ -117,48 +118,36 @@ def oracle_equivalence_sweep(n_values=(2, 3, 4, 5), p_values=None,
     rows = []
     for n in n_values:
         cfg = SamplerConfig(n, count=states_per_cell, master_seed=seed + n)
-        states = [pure_to_density(sample_state(cfg, i)) for i in range(states_per_cell)]
+        mats = draw_stack(cfg, range(states_per_cell))
+        F = fano(mats)  # input forms; out[kind] the output forms at p
         for p in p_values:
             ch = {kind: make_channel(kind, p) for kind in ("pdc", "dpc", "adc")}
-            out = {kind: [apply_uniform(r, c) for r in states] for kind, c in ch.items()}
+            out = {kind: fano(apply_stack(mats, c, range(1, n + 1))) for kind, c in ch.items()}
+            cells = []  # (check, k, max_dev)
             for k in range(1, n + 1):
-                labels = ("X",) * k + ("I",) * (n - k)
-                dev = _max_dev(states, out["pdc"], labels, pdc_xy_multiplier(n, k, p))
-                rows.append({"check": "pdc_xy", "N": n, "k": k, "p": p, "max_dev": dev})
-
-                zlabels = ("Z",) * k + ("I",) * (n - k)
-                dev = _max_dev(states, out["pdc"], zlabels)
-                rows.append({"check": "pdc_z_invariance", "N": n, "k": k, "p": p, "max_dev": dev})
-
-                dev = _max_dev(states, out["adc"], labels, adc_xy_multiplier(k, p))
-                rows.append({"check": "adc_xy", "N": n, "k": k, "p": p, "max_dev": dev})
-
+                xs, zs = ("X",) * k + ("I",) * (n - k), ("Z",) * k + ("I",) * (n - k)
+                cells += [("pdc_xy", k, _max_dev(F, out["pdc"], xs, pdc_xy_multiplier(n, k, p))),
+                          ("pdc_z_invariance", k, _max_dev(F, out["pdc"], zs)),
+                          ("adc_xy", k, _max_dev(F, out["adc"], xs, adc_xy_multiplier(k, p)))]
             dmult = abs(dpc_genuine_multiplier(n, p))
-            for lab in ("X", "Y", "Z"):
-                dev = _max_dev(states, out["dpc"], (lab,) * n, dmult)
-                rows.append({"check": f"dpc_genuine_{lab.lower()}", "N": n, "k": n,
-                             "p": p, "max_dev": dev})
+            cells += [(f"dpc_genuine_{lab.lower()}", n, _max_dev(F, out["dpc"], (lab,) * n, dmult))
+                      for lab in "XYZ"]
             if include_mixed_pauli_dpc and n >= 2:
-                mlabels = ("X", "Z") + ("Y",) * (n - 2)
-                dev = _max_dev(states, out["dpc"], mlabels, dmult)
-                rows.append({"check": "dpc_genuine_mixed", "N": n, "k": n,
-                             "p": p, "max_dev": dev})
+                mixed = ("X", "Z") + ("Y",) * (n - 2)
+                cells.append(("dpc_genuine_mixed", n, _max_dev(F, out["dpc"], mixed, dmult)))
 
             # gW through ADC: exact output state, elementwise
             rng = np.random.default_rng(seed + 100 + n)
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             a /= np.linalg.norm(a)
-            exact = gw_adc_final_state(a, p)
-            numeric = apply_uniform(pure_to_density(PureState.generalized_w(a)),
-                                    make_channel("adc", p))
-            dev = float(np.max(np.abs(exact.matrix - numeric.matrix)))
-            rows.append({"check": "gw_adc_state", "N": n, "k": n, "p": p, "max_dev": dev})
+            exact = gw_adc_final_state(a, p).matrix
+            numeric = apply_uniform(pure_to_density(PureState.generalized_w(a)), ch["adc"])
+            cells.append(("gw_adc_state", n, float(np.max(np.abs(exact - numeric.matrix)))))
 
             # gGHZ through ADC: pair zz closed form
             theta = 0.4 + 0.2 * n
-            g = pure_to_density(PureState.generalized_ghz(n, theta))
-            og = apply_uniform(g, make_channel("adc", p))
+            og = apply_uniform(pure_to_density(PureState.generalized_ghz(n, theta)), ch["adc"])
             pair = correlator(og, ("Z", "Z") + ("I",) * (n - 2))
-            dev = abs(pair - abs(gghz_adc_zz(theta, p)))
-            rows.append({"check": "gghz_adc_zz", "N": n, "k": 2, "p": p, "max_dev": dev})
+            cells.append(("gghz_adc_zz", 2, abs(pair - abs(gghz_adc_zz(theta, p)))))
+            rows += [{"check": c, "N": n, "k": k, "p": p, "max_dev": d} for c, k, d in cells]
     return rows

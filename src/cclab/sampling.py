@@ -60,6 +60,12 @@ def sample_state(cfg: SamplerConfig, index: int) -> PureState:
     return PureState(3, amps)
 
 
+def draw_stack(cfg: SamplerConfig, indices) -> np.ndarray:
+    """Density matrices (B, 2^n, 2^n) of sample_state(cfg, i), i in indices."""
+    amps = np.array([sample_state(cfg, i).amplitudes for i in indices])
+    return amps[:, :, None] * amps[:, None, :].conj()
+
+
 @dataclass(frozen=True)
 class DistributionSummary:
     measure: str
@@ -105,8 +111,7 @@ def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
 
     def work(start: int):
         stop = min(start + BLOCK, cfg.count)
-        amps = np.array([sample_state(cfg, i).amplitudes for i in range(start, stop)])
-        mats = amps[:, :, None] * amps[:, None, :].conj()
+        mats = draw_stack(cfg, range(start, stop))
         if ch is not None:
             mats = apply_stack(mats, ch, range(1, cfg.n_qubits + 1))
         out[start:stop] = evaluate_block(mats, measures, nodal, direction)[0]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cclab.states import DensityMatrix, PureState, pure_to_density
+from cclab.states import PAULI, DensityMatrix, PureState, pure_to_density
 
 
 def random_pure(n, seed):
@@ -20,6 +20,15 @@ def random_density(n, seed, rank=None):
     m = a @ a.conj().T
     m /= np.trace(m).real
     return DensityMatrix(n, m)
+
+
+def dense_pauli_expectation(matrix, labels):
+    """Reference tr(sigma_j1 x ... x sigma_jn rho) from the dense Kronecker
+    product of the Pauli matrices."""
+    op = np.ones((1, 1))
+    for lab in labels:
+        op = np.kron(op, PAULI[lab])
+    return np.trace(op @ matrix)
 
 
 ACCEPTANCE_LINES = []

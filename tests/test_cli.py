@@ -238,6 +238,30 @@ def test_discriminate_trace_needs_two_qubits(tmp_path, capsys):
     assert cli.main(["discriminate", "--trace", str(path), "--N", "3"]) == 0
 
 
+@pytest.mark.parametrize("text", ["p,c_after\n0.1,0.9\n0.2,0.8\n0.3,0.7\n",
+                                  "p,c_before,c_after\n0.1,1.0,0.9\n0.2,1.0\n0.3,1.0,0.7\n",
+                                  ""])
+def test_discriminate_malformed_trace_exits_2(text, tmp_path, capsys):
+    # a missing c_before column was a KeyError, a short row a TypeError
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    assert cli.main(["discriminate", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cclab: error: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,flag", [("measure", "--state"), ("correlators", "--state"),
+                                          ("sweep", "--config"), ("fit-bounds", "--csv"),
+                                          ("discriminate", "--trace")])
+@pytest.mark.parametrize("target", ["missing.json", "."])
+def test_unreadable_file_exits_2(command, flag, target, tmp_path, capsys):
+    # a missing file or a directory: FileNotFoundError / IsADirectoryError
+    argv = [command, flag, str(tmp_path / target)] + (["--kind", "mi"] if command == "measure" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+
+
 # config values of the wrong JSON type, each once silently cast or a traceback
 BAD_TYPES = [
     {"sampler": {"count": 2.7}}, {"sampler": {"n_qubits": 3.0}},

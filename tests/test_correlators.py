@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cclab.correlators import (correlator, distributed_cmax,
 from cclab.measures import distributed_measure
 from cclab.states import (DensityMatrix, PureState, nodal_pairs, partial_trace,
                           pure_to_density)
-from conftest import random_density
+from conftest import dense_pauli_expectation, random_density
 
 
 def test_parse_index():
@@ -53,6 +55,30 @@ def test_full_search_beats_same_pauli():
     assert full == pytest.approx(1.0)
     assert labels == ("X", "Z")
     assert full >= same
+
+
+@pytest.mark.parametrize("mode", ["same_pauli", "full_search"])
+def test_genuine_max_matches_brute_force(mode):
+    """Both modes at n = 3 against enumerating the candidate labels with the
+    dense Kronecker-product reference: the maximum, and the first candidate
+    within 1e-15 of it."""
+    candidates = ([(lab,) * 3 for lab in "XYZ"] if mode == "same_pauli"
+                  else list(itertools.product("XYZ", repeat=3)))
+    for seed in range(6):
+        rho = random_density(3, 40 + seed)
+        values = [abs(dense_pauli_expectation(rho.matrix, c).real) for c in candidates]
+        value, labels = genuine_max(rho, mode)
+        assert value == pytest.approx(max(values), abs=1e-14)
+        assert labels == candidates[int(np.argmax(values))]
+
+
+@pytest.mark.parametrize("mode", ["same_pauli", "full_search"])
+def test_genuine_max_tie_rule(bell, mode):
+    # the Bell state has |XX| = |YY| = |ZZ| = 1 up to rounding: the first
+    # candidate within 1e-15 of the maximum wins
+    value, labels = genuine_max(bell, mode)
+    assert value == pytest.approx(1.0, abs=1e-15)
+    assert labels == ("X", "X")
 
 
 def test_w_pair_marginal_genuine_max(w3):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from cclab.states import (PAULI_LABELS, DensityMatrix, PositivityError, PureStat
                           fano, load_state, partial_trace, partial_transpose,
                           pauli_expectation, pure_to_density, shannon_entropy,
                           von_neumann_entropy)
-from conftest import random_density, random_pure
+from conftest import dense_pauli_expectation, random_density, random_pure
 
 
 def test_pure_state_normalization_enforced():
@@ -145,14 +146,34 @@ def test_json_roundtrip(tmp_path):
 
 
 def test_fano_matches_pauli_expectations():
-    """F[i, j] = tr(rho sigma_i x sigma_j) for all 16 label pairs, and a
-    state's form is the same bit for bit alone or inside a stack."""
-    rhos = [random_density(2, 20 + k) for k in range(6)]
-    stacked = fano(np.array([r.matrix for r in rhos]))
-    for rho, F in zip(rhos, stacked):
-        want = [[pauli_expectation(rho, (a, b)) for b in PAULI_LABELS] for a in PAULI_LABELS]
-        assert np.allclose(F, want, atol=1e-15)
-        assert np.array_equal(fano(rho.matrix[None])[0], F)
+    """F[j1, ..., jn] = tr(rho sigma_j1 x ... x sigma_jn) for every label
+    string of 1 to 5 qubits, against the dense Kronecker-product operator;
+    pauli_expectation reads the same entry; and a state's form is the same
+    bit for bit alone or inside a stack."""
+    for n in range(1, 6):
+        rhos = [random_density(n, 20 + 10 * n + k) for k in range(3)]
+        stacked = fano(np.array([r.matrix for r in rhos]))
+        assert stacked.shape == (3,) + (4,) * n
+        for rho, F in zip(rhos, stacked):
+            for idx in itertools.product(range(4), repeat=n):
+                labels = tuple(PAULI_LABELS[j] for j in idx)
+                want = dense_pauli_expectation(rho.matrix, labels)
+                assert abs(want.imag) < 1e-14
+                assert F[idx] == pytest.approx(want.real, abs=1e-14)
+                assert pauli_expectation(rho, labels) == F[idx]
+            assert np.array_equal(fano(rho.matrix), F)
+            assert np.array_equal(fano(rho.matrix[None])[0], F)
+
+
+def test_pauli_expectation_rejects_imaginary_residue():
+    # a non-Hermitian matrix: tr(rho Z) = 1 - 2 rho[1, 1] = -1j
+    m = np.array([[0.5, 0.25], [0.0, 0.5 + 0.5j]])
+    rho = DensityMatrix(1, m, validate=False)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        pauli_expectation(rho, ("Z",))
+    # tr(rho X) is real here, but the matrix is still not a state
+    with pytest.raises(ValueError, match="imaginary residue"):
+        pauli_expectation(rho, ("X",))
 
 
 def test_pauli_expectation_label_count():

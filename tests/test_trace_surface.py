@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,9 +40,12 @@ def test_every_traced_name_is_a_callable():
     assert missing == []
 
 
-def test_traced_run_reports_every_per_layer_metric():
+# discord_table runs the optimizers; correlator_sweep and oracle_probe the
+# Fano-form correlators and the full-register channels
+@pytest.mark.parametrize("workload", ["discord_table", "correlator_sweep", "oracle_probe"])
+def test_traced_run_reports_every_per_layer_metric(workload):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "discord_table",
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", "0", "--trace", "1"],
                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
