@@ -62,6 +62,13 @@ class ExperimentConfig:
             raise ValueError(f"nodal qubit {self.nodal} outside [1, {self.sampler.n_qubits}]")
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        # one file per (channel, measure) and one histogram per p label
+        for what, items in (("channels", self.channels), ("measures", self.measures),
+                            ("p_grid labels", [f"{p:g}" for p in self.p_grid])):
+            if len(set(items)) < len(items):
+                raise ValueError(f"{what} must be distinct, got {list(items)}")
 
     def canonical(self) -> str:
         obj = asdict(self)
@@ -155,29 +162,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     os.makedirs(cfg.output_dir, exist_ok=True)
     manifest = RunManifest(cfg.config_hash(), VERSION, time.time())
     try:
-        for channel in cfg.channels:
-            summaries = ensemble_sweep(cfg.sampler, channel, cfg.p_grid,
-                                       cfg.measures, cfg.nodal, cfg.direction,
-                                       cfg.bins, cfg.threads)
-            by_measure = {}
-            for s in summaries:
-                by_measure.setdefault(s.measure, []).append(s)
-            for measure, ms in by_measure.items():
-                path = os.path.join(cfg.output_dir,
-                                    f"{cfg.experiment}_{measure}_{channel}.csv")
-                _write_csv(path, ["p", "mean", "std", "median", "skewness",
-                                  "moment_skewness", "count"],
-                           [(s.p, s.mean, s.std_dev, s.median, s.skewness,
-                             s.moment_skewness, s.n) for s in ms])
-                manifest.outputs.append(path)
-                for s in ms:
-                    hpath = os.path.join(
-                        cfg.output_dir,
-                        f"{cfg.experiment}_{measure}_{channel}_hist_p{s.p:g}.csv")
-                    _write_csv(hpath, ["bin_left", "bin_right", "frequency"],
-                               [(s.bin_edges[i], s.bin_edges[i + 1], s.frequencies[i])
-                                for i in range(len(s.frequencies))])
-                    manifest.outputs.append(hpath)
+        summaries = ensemble_sweep(cfg.sampler, cfg.channels, cfg.p_grid, cfg.measures,
+                                   cfg.nodal, cfg.direction, cfg.bins, cfg.threads)
+        groups = {}
+        for s in summaries:
+            groups.setdefault((s.channel, s.measure), []).append(s)
+        for (channel, measure), ms in groups.items():
+            path = os.path.join(cfg.output_dir, f"{cfg.experiment}_{measure}_{channel}.csv")
+            _write_csv(path, ["p", "mean", "std", "median", "skewness",
+                              "moment_skewness", "count"],
+                       [(s.p, s.mean, s.std_dev, s.median, s.skewness,
+                         s.moment_skewness, s.n) for s in ms])
+            manifest.outputs.append(path)
+            for s in ms:
+                hpath = os.path.join(
+                    cfg.output_dir, f"{cfg.experiment}_{measure}_{channel}_hist_p{s.p:g}.csv")
+                _write_csv(hpath, ["bin_left", "bin_right", "frequency"],
+                           zip(s.bin_edges[:-1], s.bin_edges[1:], s.frequencies))
+                manifest.outputs.append(hpath)
     except Exception:
         for path in manifest.outputs:
             if os.path.exists(path):
@@ -213,8 +215,7 @@ def recipe_table(channel: str, measure: str, outdir: str, count: int,
     rows = []
     for n in (3, 4, 5):
         cfg = SamplerConfig(n_qubits=n, count=count, master_seed=seed)
-        for s in ensemble_sweep(cfg, channel, (0.2, 0.4, 0.6), [measure],
-                                threads=threads):
+        for s in ensemble_sweep(cfg, [channel], (0.2, 0.4, 0.6), [measure], threads=threads):
             rows.append((str(n), s.p, s.mean, s.std_dev, s.median, s.skewness,
                          s.moment_skewness))
     path = os.path.join(outdir, f"table_{measure}_{channel}.csv")
@@ -234,11 +235,8 @@ def recipe_ghzw_decay(channel: str, outdir: str, count: int, seed: int,
     rows = []
     for label, ens in (("ghz_class", "haar"), ("w_class", "w_class")):
         cfg = SamplerConfig(n_qubits=3, ensemble=ens, count=count, master_seed=seed)
-        means = []
-        for p in (0.2, 0.4, 0.6):
-            vals = evaluate_ensemble(cfg, channel, p, ["dcmax"], threads=threads)[:, 0]
-            means.append((p, float(np.mean(vals))))
-        rows.append((label, decay_rate(means)))
+        sweep = ensemble_sweep(cfg, [channel], (0.2, 0.4, 0.6), ["dcmax"], threads=threads)
+        rows.append((label, decay_rate([(s.p, s.mean) for s in sweep])))
     path = os.path.join(outdir, f"decay_rate_{channel}.csv")
     _write_csv(path, ["ensemble", "decay_rate"], rows)
     return path
@@ -296,6 +294,8 @@ def _cmd_oracle(args) -> int:
         value = oracles.dpc_genuine_multiplier(args.N, args.p)
     else:
         value = oracles.adc_xy_multiplier(args.k, args.p)
+    if not 1 <= args.k <= args.N:  # each law checked its own arguments; k also needs N
+        raise ValueError(f"need 1 <= k <= N, got k={args.k}, N={args.N}")
     print(fmt(value))
     return 0
 
@@ -386,6 +386,8 @@ def _cmd_recipe(args) -> int:
     name, outdir, seed, threads = args.name, args.out, args.seed, args.threads
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
+    if threads < 1:  # before the output directory is made
+        raise ValueError(f"threads must be >= 1, got {threads}")
     os.makedirs(outdir, exist_ok=True)
     if name == "fig1_wstate":
         print(f"wrote {recipe_fig1_wstate(outdir)}")

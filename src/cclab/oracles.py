@@ -37,9 +37,8 @@ def pdc_xy_multiplier(N: int, k: int, p: float) -> float:
 def pdc_multiplier(N: int, k: int, p: float, plane: str = "xy") -> float:
     """Correlator multiplier under PDC: the xy-plane sum, or exactly 1 for
     all-z correlators which commute with every Kraus operator."""
-    if plane == "z":
-        return 1.0
-    return pdc_xy_multiplier(N, k, p)
+    xy = pdc_xy_multiplier(N, k, p)  # validates N, k and p for both planes
+    return 1.0 if plane == "z" else xy
 
 
 def dpc_genuine_multiplier(N: int, p: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .measures import evaluate_block
 from .states import PureState
 
 ENSEMBLES = ("haar", "w_class")
-# samples per evaluate_ensemble block: their pairs share one search per measure
+# samples per block of the ensemble engine: their pairs share one search per measure
 BLOCK = 32
 
 
@@ -99,43 +100,47 @@ def summarize(values: np.ndarray, measure: str, channel: str, p: float,
                                median, pearson, m3, edges, freqs)
 
 
-def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
-                      nodal: int = 1, direction: str = "left",
-                      threads: int = 1) -> np.ndarray:
-    """Per-sample measure values, shape (count, len(measures)); row order is
-    the sample index. The indices are cut into blocks of BLOCK; a block's
-    states are one (B, 2^n, 2^n) stack from the draw to `evaluate_block`, so
-    the values depend on the index alone, never on the thread schedule."""
-    ch = make_channel(channel_kind, p) if channel_kind != "none" else None
-    out = np.empty((cfg.count, len(measures)), dtype=float)
+def _evaluate_cells(cfg: SamplerConfig, cells, measures, nodal: int, direction: str,
+                    threads: int) -> list[np.ndarray]:
+    """Per-sample values (count, len(measures)) of each (channel_kind, p) cell,
+    rows in index order. Each block of BLOCK indices is drawn once as one
+    (B, 2^n, 2^n) stack for every cell, so a value depends on its index alone,
+    never on the thread schedule or on the other cells."""
+    chans = [make_channel(kind, p) if kind != "none" else None for kind, p in cells]
+    outs = [np.empty((cfg.count, len(measures)), dtype=float) for _ in cells]
+    sites = range(1, cfg.n_qubits + 1)
 
     def work(start: int):
         stop = min(start + BLOCK, cfg.count)
-        mats = draw_stack(cfg, range(start, stop))
-        if ch is not None:
-            mats = apply_stack(mats, ch, range(1, cfg.n_qubits + 1))
-        out[start:stop] = evaluate_block(mats, measures, nodal, direction)[0]
+        drawn = draw_stack(cfg, range(start, stop))
+        for ch, out in zip(chans, outs):
+            mats = drawn if ch is None else apply_stack(drawn, ch, sites)
+            out[start:stop] = evaluate_block(mats, measures, nodal, direction)[0]
 
     blocks = range(0, cfg.count, BLOCK)
     if threads <= 1:
-        for start in blocks:
-            work(start)
+        list(map(work, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return out
+    return outs
 
 
-def ensemble_sweep(cfg: SamplerConfig, channel_kind: str, p_values, measures,
+def evaluate_ensemble(cfg: SamplerConfig, channel_kind: str, p: float, measures,
+                      nodal: int = 1, direction: str = "left",
+                      threads: int = 1) -> np.ndarray:
+    """Per-sample values (count, len(measures)) of one (channel_kind, p) cell."""
+    return _evaluate_cells(cfg, [(channel_kind, p)], measures, nodal, direction, threads)[0]
+
+
+def ensemble_sweep(cfg: SamplerConfig, channel_kinds, p_values, measures,
                    nodal: int = 1, direction: str = "left", bins: int = 50,
                    threads: int = 1) -> list[DistributionSummary]:
-    summaries = []
-    for p in p_values:
-        values = evaluate_ensemble(cfg, channel_kind, p, measures, nodal,
-                                   direction, threads)
-        for j, m in enumerate(measures):
-            summaries.append(summarize(values[:, j], m, channel_kind, p, bins))
-    return summaries
+    """Summaries ordered by channel, then p, then measure; each sample is drawn once."""
+    cells = [(kind, p) for kind in channel_kinds for p in p_values]
+    values = _evaluate_cells(cfg, cells, measures, nodal, direction, threads)
+    return [summarize(v[:, j], m, kind, p, bins)
+            for (kind, p), v in zip(cells, values) for j, m in enumerate(measures)]
 
 
 def decay_rate(points) -> float:
@@ -144,15 +149,9 @@ def decay_rate(points) -> float:
     pts = sorted((float(p), float(m)) for p, m in points)
     if len(pts) < 2:
         raise ValueError("decay_rate needs at least two (p, mean) points")
-    slopes = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            p1, m1 = pts[i]
-            p2, m2 = pts[j]
-            if p2 == p1:
-                raise ValueError("duplicate p values")
-            slopes.append((m2 - m1) / (p2 - p1))
-    return float(np.mean(slopes))
+    if len({p for p, _ in pts}) < len(pts):
+        raise ValueError("duplicate p values")
+    return float(np.mean([(m2 - m1) / (p2 - p1) for (p1, m1), (p2, m2) in combinations(pts, 2)]))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from cclab import cli
+from cclab import cli, sampling
 from cclab.states import PureState
 
 
@@ -25,6 +25,10 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return path
+
+
+def _argv_id(argv):
+    return "-".join(a[2:] if a.startswith("--") else a for a in argv)
 
 
 def read_csv(path):
@@ -53,6 +57,53 @@ def test_config_validation(tmp_path):
     for bins in (0, -3):
         with pytest.raises(ValueError, match="bins"):
             cli.config_from_dict({"measures": ["mi"], "bins": bins})
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            cli.config_from_dict({"measures": ["mi"], "threads": threads})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"channels": ["pdc", "pdc"]},
+    {"measures": ["mi", "dcmax", "mi"]},
+    {"p_grid": [0.2, 0.2000000001]},  # both would write ..._hist_p0.2.csv
+    {"channels": ["pdc", "pdc"], "measures": ["mi", "mi"], "p_grid": [0.2, 0.2000000001]},
+], ids=["channel", "measure", "p_label", "all"])
+def test_sweep_rejects_duplicate_cells(overrides, tmp_path, capsys):
+    # a repeated cell would overwrite its own output files
+    with pytest.raises(ValueError, match="distinct"):
+        cli.config_from_dict({"measures": ["mi"], **overrides})
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: ") and len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--threads", "0"], ["sweep", "--threads", "-3"],
+    ["recipe", "table1_pdc", "--threads", "-2"], ["recipe", "ghzw_decay_adc", "--threads", "0"],
+], ids=_argv_id)
+def test_threads_below_one_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    extra = ["--config", str(write_config(tmp_path))] if argv[0] == "sweep" else ["--out", str(out)]
+    assert cli.main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: threads must be >= 1") and len(err.splitlines()) == 1
+    assert not os.path.exists(out)
+
+
+def test_sweep_draws_each_sample_once(tmp_path, monkeypatch):
+    # 2 channels x 2 p share one draw of each of the 40 samples (2 blocks)
+    drawn = []
+    real = sampling.sample_state
+    monkeypatch.setattr(sampling, "sample_state",
+                        lambda cfg, i: drawn.append(i) or real(cfg, i))
+    cfg = cli.load_config(write_config(
+        tmp_path, channels=["pdc", "adc"], p_grid=[0.2, 0.6], measures=["dcmax", "mi"],
+        sampler={"n_qubits": 3, "count": 40, "master_seed": 3}))
+    manifest = cli.run_experiment(cfg)
+    assert sorted(drawn) == list(range(40))
+    assert len(manifest.outputs) == 2 * 2 * (1 + 2)
 
 
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys):
@@ -192,6 +243,26 @@ def test_cli_oracle_dpc_rejects_nonpositive_n(n, p, capsys):
     assert cli.main(["oracle", "--channel", "dpc", "--N", n, "--p", p]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cclab: error: N must be positive") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--channel", "adc", "--N", "2", "--k", "5", "--p", "0.3"],
+    ["--channel", "adc", "--N", "3", "--k", "0", "--p", "0.3"],
+    ["--channel", "adc", "--N", "3", "--p", "1.3"],
+    ["--channel", "dpc", "--N", "3", "--k", "4", "--p", "0.3"],
+    ["--channel", "dpc", "--N", "3", "--p", "-0.1"],
+    ["--channel", "pdc", "--N", "3", "--p", "1.3"],
+    ["--channel", "pdc", "--N", "3", "--p", "1.3", "--plane", "z"],
+    ["--channel", "pdc", "--N", "0", "--p", "0.3", "--plane", "z"],
+    ["--channel", "pdc", "--N", "3", "--k", "7", "--p", "0.3", "--plane", "z"],
+    ["--channel", "pdc", "--N", "3", "--k", "0", "--p", "0.3", "--plane", "z"],
+], ids=_argv_id)
+def test_cli_oracle_rejects_out_of_range(argv, capsys):
+    # every law needs 1 <= k <= N and p in [0, 1], whether or not it reads them
+    assert cli.main(["oracle"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cclab: error: ") and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key", ["p_grid", "channels"])
@@ -360,6 +431,17 @@ def test_recipe_determinism(tmp_path):
     a = open(tmp_path / "a" / "decay_rate_pdc.csv", "rb").read()
     b = open(tmp_path / "b" / "decay_rate_pdc.csv", "rb").read()
     assert a == b
+
+
+def test_recipe_ghzw_decay_reads_per_p_means(tmp_path):
+    cli.recipe_ghzw_decay("adc", str(tmp_path), 40, 4, 1)
+    want = []
+    for label, ens in (("ghz_class", "haar"), ("w_class", "w_class")):
+        cfg = sampling.SamplerConfig(3, ensemble=ens, count=40, master_seed=4)
+        means = [(p, float(np.mean(sampling.evaluate_ensemble(cfg, "adc", p, ["dcmax"])[:, 0])))
+                 for p in (0.2, 0.4, 0.6)]
+        want.append([label, cli.fmt(sampling.decay_rate(means))])
+    assert read_csv(tmp_path / "decay_rate_adc.csv") == [["ensemble", "decay_rate"]] + want
 
 
 def test_output_dir_env(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,10 @@ def test_pdc_xy_validation():
         oracles.pdc_xy_multiplier(3, 4, 0.2)
     with pytest.raises(ValueError):
         oracles.pdc_xy_multiplier(3, 2, 1.2)
+    # the all-z plane's multiplier is 1, but its arguments are checked all the same
+    for N, k, p in ((3, 4, 0.2), (3, 2, 1.2), (0, 1, 0.2), (3, 0, 0.2)):
+        with pytest.raises(ValueError):
+            oracles.pdc_multiplier(N, k, p, "z")
 
 
 def test_pdc_distributed_zz_passthrough():

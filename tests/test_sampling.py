@@ -105,11 +105,32 @@ def test_evaluate_ensemble_unknown_measure():
 
 def test_ensemble_sweep_shapes():
     cfg = SamplerConfig(3, count=30, master_seed=2)
-    summaries = ensemble_sweep(cfg, "dpc", [0.2, 0.6], ["dcmax"], bins=10)
+    summaries = ensemble_sweep(cfg, ["dpc"], [0.2, 0.6], ["dcmax"], bins=10)
     assert len(summaries) == 2
     assert [s.p for s in summaries] == [0.2, 0.6]
     # depolarizing shrinks correlators monotonically
     assert summaries[1].mean < summaries[0].mean
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_sweep_matches_one_cell_at_a_time(threads):
+    """One sweep over every (channel, p) cell gives, bit for bit, the summary
+    of each cell evaluated alone, in channel, p, measure order."""
+    cfg = SamplerConfig(3, count=BLOCK + 9, master_seed=13)
+    channels, p_values, kinds = ["pdc", "adc", "none"], [0.25, 0.7], ["mi", "dcmax", "cd"]
+    swept = ensemble_sweep(cfg, channels, p_values, kinds, 2, "right", bins=7, threads=threads)
+    alone = []
+    for kind in channels:
+        for p in p_values:
+            values = evaluate_ensemble(cfg, kind, p, kinds, 2, "right", threads=threads)
+            alone += [summarize(values[:, j], m, kind, p, 7) for j, m in enumerate(kinds)]
+    assert len(swept) == len(alone) == 18
+    for a, b in zip(swept, alone):
+        assert (a.channel, a.p, a.measure, a.n) == (b.channel, b.p, b.measure, b.n)
+        assert (a.mean, a.std_dev, a.median, a.skewness, a.moment_skewness) == \
+            (b.mean, b.std_dev, b.median, b.skewness, b.moment_skewness)
+        assert np.array_equal(a.bin_edges, b.bin_edges)
+        assert np.array_equal(a.frequencies, b.frequencies)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -132,7 +153,7 @@ def test_decay_rate_exact_line():
 
 def test_decay_rate_from_summaries():
     cfg = SamplerConfig(3, count=20, master_seed=2)
-    summaries = ensemble_sweep(cfg, "dpc", [0.2, 0.4, 0.6], ["dcmax"])
+    summaries = ensemble_sweep(cfg, ["dpc"], [0.2, 0.4, 0.6], ["dcmax"])
     assert decay_rate([(s.p, s.mean) for s in summaries]) < 0
 
 

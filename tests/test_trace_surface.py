@@ -21,9 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +34,7 @@ def _reject_constant(name):
 
 
 def test_every_traced_name_is_a_callable():
-    missing = [f"{layer}.{name}" for layer, names in _tracing().LAYERS.items()
+    missing = [f"{layer}.{name}" for layer, names in _perfbench("tracing").LAYERS.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"cclab.{layer}"), name, None))]
     assert missing == []
@@ -54,3 +54,8 @@ def test_traced_run_reports_every_per_layer_metric(workload):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(result["metrics"]) == {m["name"] for m in benchmark["per_layer"]}
     assert len(benchmark["per_layer"]) == 70
+    if workload == "correlator_sweep":
+        # one sweep draws each sample once for all of its (channel, p) cells
+        sweep = _perfbench("workloads").WORKLOADS[workload]
+        calls = result["metrics"]["sampling.sample_state.calls"]["value"]
+        assert calls == sweep.trace_rounds * sweep.COUNT
