@@ -1,6 +1,6 @@
 """Local single-qubit Kraus channels: phase damping (PDC), depolarizing (DPC)
-and amplitude damping (ADC), applied site by site to a stack of density
-matrices through the channel's superoperator."""
+and amplitude damping (ADC), applied site by site to a stack of Fano forms
+through the channel's Pauli transfer matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import PAULI, DensityMatrix, check_sites, stack_qubits
+from .states import PAULI, PAULI_LABELS, DensityMatrix, check_sites, density, fano
 
 KINDS = ("pdc", "dpc", "adc")
 
@@ -25,10 +25,12 @@ class KrausChannel:
             raise ValueError("Kraus operators violate completeness relation")
 
     @cached_property
-    def superop(self) -> np.ndarray:
-        """S = sum_K K x conj(K) as S[r, c, r', c'], so that
-        (sum_K K rho K^dagger)[r, c] = sum_{r', c'} S[r, c, r', c'] rho[r', c']."""
-        return sum(np.kron(K, K.conj()) for K in self.kraus_ops).reshape(2, 2, 2, 2)
+    def ptm(self) -> np.ndarray:
+        """Pauli transfer matrix R[i, j] = tr(sigma_i E(sigma_j)) / 2, built
+        from the Kraus operators: the channel maps a qubit's Fano index as
+        F'[i] = sum_j R[i, j] F[j] (Greenbaum, arXiv:1509.02921)."""
+        images = [sum(K @ PAULI[lab] @ K.conj().T for K in self.kraus_ops) for lab in PAULI_LABELS]
+        return fano(np.array(images) / 2).T
 
 
 def make_channel(kind: str, p: float) -> KrausChannel:
@@ -51,17 +53,15 @@ def make_channel(kind: str, p: float) -> KrausChannel:
     return KrausChannel(kind, float(p), ops)
 
 
-def apply_stack(mats: np.ndarray, ch: KrausChannel, sites) -> np.ndarray:
+def apply_forms(F: np.ndarray, ch: KrausChannel, sites) -> np.ndarray:
     """Apply `ch` independently to each qubit in `sites` (1-based, already
-    checked) of every matrix of a (B, 2^n, 2^n) stack: one contraction with
-    the superoperator per site."""
-    b, n = len(mats), stack_qubits(mats)
+    checked) of a (B, 4, ..., 4) stack of Fano forms: R @ F viewed as
+    (before s, 4, after s) per site s, or (before, 4) @ R^T at the last site."""
+    shape, n = F.shape, F.ndim - 1
     for s in sites:
-        # axes: b, row bits before s, row bit s, row bits after s, the same for columns
-        t = mats.reshape(b, 2 ** (s - 1), 2, 2 ** (n - s), 2 ** (s - 1), 2, 2 ** (n - s))
-        t = np.tensordot(ch.superop, t, axes=([2, 3], [2, 5]))  # new bits s first
-        mats = np.moveaxis(t, (0, 1), (2, 5)).reshape(mats.shape)
-    return mats
+        after = 4 ** (n - s)
+        F = ch.ptm @ F.reshape(-1, 4, after) if after > 1 else F.reshape(-1, 4) @ ch.ptm.T
+    return F.reshape(shape)
 
 
 def apply_local(rho: DensityMatrix, ch: KrausChannel, sites) -> DensityMatrix:
@@ -69,8 +69,9 @@ def apply_local(rho: DensityMatrix, ch: KrausChannel, sites) -> DensityMatrix:
 
     Sequential single-site maps on disjoint sites; identical to the full
     tensor-product Kraus sum by linearity."""
-    sites = check_sites(sites, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, apply_stack(rho.matrix[None], ch, sites)[0], validate=False)
+    n = rho.n_qubits
+    F = apply_forms(fano(rho.matrix[None]), ch, check_sites(sites, n))
+    return DensityMatrix(n, density(F[0], n), validate=False)
 
 
 def apply_uniform(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:

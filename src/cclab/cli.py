@@ -21,7 +21,7 @@ from .correlators import correlator, genuine_max, parse_index
 from .measures import MEASURED_SIDE, MEASURES, check_measures, evaluate_block
 from .sampling import (SamplerConfig, decay_rate, ensemble_sweep,
                        evaluate_ensemble, fit_bounds)
-from .states import load_state
+from .states import fano, load_state
 
 VERSION = "0.1.0"
 OUTPUT_ENV = "CCLAB_OUTPUT_DIR"
@@ -319,7 +319,7 @@ def _cmd_measure(args) -> int:
     rho = load_state(args.state)
     if not 1 <= args.nodal <= rho.n_qubits:
         raise ValueError(f"nodal qubit {args.nodal} outside [1, {rho.n_qubits}]")
-    values, searches = evaluate_block(rho.matrix[None], [args.kind], args.nodal, args.direction)
+    values, searches = evaluate_block(fano(rho.matrix[None]), [args.kind], args.nodal, args.direction)
     out = {"value": float(values[0, 0]), "kind": args.kind}
     if searches:  # a search-backed kind: did every pair's search converge
         out["converged"] = all(bool(s.converged.all()) for s in searches.values())
@@ -388,6 +388,8 @@ def _cmd_recipe(args) -> int:
         raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     if threads < 1:  # before the output directory is made
         raise ValueError(f"threads must be >= 1, got {threads}")
+    # the sampler's checks of --count and --seed, also before it is made
+    SamplerConfig(n_qubits=3, count=1 if args.count is None else args.count, master_seed=seed)
     os.makedirs(outdir, exist_ok=True)
     if name == "fig1_wstate":
         print(f"wrote {recipe_fig1_wstate(outdir)}")

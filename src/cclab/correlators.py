@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .states import (PAULI_LABELS, DensityMatrix, fano, nodal_pairs, ordered_sum,
+from .states import (PAULI_LABELS, DensityMatrix, fano, ordered_sum, pair_forms,
                      pauli_expectation)
 
 MODES = ("same_pauli", "full_search")
@@ -66,11 +66,11 @@ def fano_cmax(F: np.ndarray, mode: str = "same_pauli") -> np.ndarray:
 def distributed_correlator(rho: DensityMatrix, pair_labels, nodal: int = 1) -> float:
     """Sum of pairwise correlators C_{j1 ji} over pairs (nodal, i)."""
     j, k = (PAULI_LABELS.index(lab.upper()) for lab in pair_labels)  # ValueError unless two
-    return float(ordered_sum(np.abs(fano(nodal_pairs(rho.matrix[None], nodal)[0])[:, j, k])))
+    return float(ordered_sum(np.abs(pair_forms(fano(rho.matrix[None]), nodal)[0, :, j, k])))
 
 
 def distributed_cmax(rho: DensityMatrix, nodal: int = 1, mode: str = "same_pauli") -> float:
     """Maximal distributed pair correlator over pairs (nodal, i), with one
     Pauli assignment shared by every pair: max_j sum_i C_{jj}(rho_{1i}).
     The per-pair maxima sum is distributed_measure(rho, "cmax")."""
-    return float(fano_cmax(fano(nodal_pairs(rho.matrix[None], nodal)[0]), mode))
+    return float(fano_cmax(pair_forms(fano(rho.matrix[None]), nodal)[0], mode))

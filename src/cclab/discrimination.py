@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_uniform, make_channel
-from .correlators import correlator
-from .states import PureState, pure_to_density
+from .channels import KrausChannel, apply_forms, make_channel
+from .states import PureState, fano, pure_to_density
 
 LABELS = ("pdc", "adc", "dpc")
 # a difference trace with RMS at most FLAT_THRESHOLD is phase damping
@@ -91,13 +90,13 @@ def generate_probe_trace(probe: PureState, channel: KrausChannel, p_values,
     if rng is None:
         rng = np.random.default_rng()
     n = probe.n_qubits
-    rho = pure_to_density(probe)
-    zlabels = ("Z",) * n
-    cb = correlator(rho, zlabels)
+    F = fano(pure_to_density(probe).matrix[None])
+    allz = (0,) + (3,) * n  # the all-z entry of the one form in F
+    cb = abs(float(F[allz]))
     samples = []
     for p in p_values:
         ch = channel if channel.p == p else make_channel(channel.kind, p)
-        b, a = cb, correlator(apply_uniform(rho, ch), zlabels)
+        b, a = cb, abs(float(apply_forms(F, ch, range(1, n + 1))[allz]))
         if noise_sigma > 0:
             b = float(np.clip(b + rng.normal(0, noise_sigma), 0, 1))
             a = float(np.clip(a + rng.normal(0, noise_sigma), 0, 1))

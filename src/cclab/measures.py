@@ -3,8 +3,9 @@ versions: mutual information, classical/quantum discord, local work,
 logarithmic negativity, entanglement of formation, plus the Koashi-Winter
 bound check.
 
-Every measure reads one pair table, `_Pairs`: a block of states, their
-(nodal, i) pairs, reduced once, and the pairs' real Fano forms. Discord and
+Every measure reads one pair table, `_Pairs`: a block of states' real Fano
+forms and their (nodal, i) pairs' forms, each a slice of the state's form;
+the spectral measures rebuild the pairs' density matrices. Discord and
 local work minimize an entropy over rank-1 projective measurement bases,
 computed from the Fano forms with 3-vector algebra. `_minimize` is the one
 search routine for all of them: for a whole stack of pairs at once, a grid of
@@ -19,9 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import correlators
-from .states import (DensityMatrix, entropy_stack, fano, nodal_pairs,
-                     ordered_sum, partial_transpose_stack, shannon_entropy,
-                     stack_qubits)
+from .states import (DensityMatrix, density, entropy_stack, fano, ordered_sum,
+                     pair_forms, shannon_entropy)
 
 GRID_PHI = 60
 GRID_THETA = 30
@@ -56,9 +56,10 @@ def _mutual_information(rho2s, F):
     return np.maximum(0.0, s_a + s_b - entropy_stack(rho2s))
 
 
-def _log_negativity(rho2s):
-    """log2 of the trace norm of each pair's partial transpose; 0 if PPT."""
-    pt = partial_transpose_stack(rho2s, (2,))
+def _log_negativity(F):
+    """log2 of the trace norm of each pair's partial transpose (its form with
+    qubit 2's sigma_y column negated, as sigma_y^T = -sigma_y); 0 if PPT."""
+    pt = density(F * [1.0, 1.0, -1.0, 1.0], 2)
     return np.maximum(0.0, np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)))
 
 
@@ -237,7 +238,7 @@ def _local_work(F, mode: str, refine: bool = True) -> OptimizedMeasure:
 def _pair_value(rho2: DensityMatrix, kind: str, side: str = "second") -> float:
     """A registry pair measure of one 2-qubit state: the B = 1 block."""
     _require_two_qubits(rho2)
-    return float(_Pairs(rho2.matrix[None], 1, side)[kind][0])
+    return float(_Pairs(fano(rho2.matrix[None]), 1, side)[kind][0])
 
 
 def mutual_information(rho2: DensityMatrix) -> float:
@@ -295,36 +296,34 @@ MEASURES = {
     "lw": (True, lambda pairs: _local_work(pairs.fano, "two_sided")),
     "qd": (True, lambda pairs: np.maximum(0.0, pairs["mi"] - pairs["cd"])),
     "mi": (True, lambda pairs: _mutual_information(pairs.rho2s, pairs.fano)),
-    "ln": (True, lambda pairs: _log_negativity(pairs.rho2s)),
+    "ln": (True, lambda pairs: _log_negativity(pairs.fano)),
     "eof": (True, lambda pairs: _entanglement_of_formation(pairs.rho2s)),
     # "lw_half" (half the one-sided work, dephasing the nodal qubit) is the
     # local-work variant that tracks the published per-pair table values
     "lw_one_sided": (True, lambda pairs: _local_work(pairs.fano, "one_sided")),
     "lw_half": (True, lambda pairs: pairs["lw_one_sided"] / 2),
     # shared-direction distributed correlator maximum, from the same table
-    "dcmax": (False, lambda pairs: correlators.fano_cmax(pairs.fano.reshape(len(pairs.mats), -1, 4, 4))),
+    "dcmax": (False, lambda pairs: correlators.fano_cmax(pairs.fano.reshape(len(pairs.forms), -1, 4, 4))),
     # genuine_max's value for each state, from the block's n-qubit Fano forms
     "genuine_cmax": (False, lambda pairs: correlators.candidate_correlators(
-        fano(pairs.mats), stack_qubits(pairs.mats)).max(axis=-1)),
+        pairs.forms, pairs.forms.ndim - 1).max(axis=-1)),
 }
 
 
 class _Pairs:
-    """A block of states (B, 2^n, 2^n), its (nodal, i) pairs (state-major,
-    reduced once on first use), their Fano forms, registry values and searches:
-    each measure runs once per block, however many others read it."""
+    """A block of states' Fano forms (B, 4, ..., 4), the forms of their
+    (nodal, i) pairs (state-major), the pairs' density matrices (rebuilt once,
+    on first use), registry values and searches: each measure runs once per
+    block, however many others read it."""
 
-    def __init__(self, mats: np.ndarray, nodal: int, side: str):
-        self.mats, self.nodal, self.side = mats, nodal, side
+    def __init__(self, forms: np.ndarray, nodal: int, side: str):
+        self.forms, self.side = forms, side
+        self.fano = pair_forms(forms, nodal).reshape(-1, 4, 4)
         self.searches, self._values = {}, {}
 
     @cached_property
     def rho2s(self) -> np.ndarray:
-        return nodal_pairs(self.mats, self.nodal).reshape(-1, 4, 4)
-
-    @cached_property
-    def fano(self) -> np.ndarray:
-        return fano(self.rho2s)
+        return density(self.fano, 2)
 
     def __getitem__(self, kind: str) -> np.ndarray:
         if kind not in self._values:
@@ -345,23 +344,23 @@ def check_measures(kinds) -> None:
             raise ValueError(f"unknown measure {kind!r}, expected one of {tuple(MEASURES)}")
 
 
-def evaluate_block(mats: np.ndarray, kinds, nodal: int = 1, direction: str = "left"):
-    """Registry measures (B, len(kinds)) of a stack of states (B, 2^n, 2^n),
-    and the searches run on their (nodal, i) pairs (state-major). The pairs
-    are reduced once and each measure runs once on all of them."""
+def evaluate_block(forms: np.ndarray, kinds, nodal: int = 1, direction: str = "left"):
+    """Registry measures (B, len(kinds)) of a stack of states' Fano forms
+    (B, 4, ..., 4), and the searches run on their (nodal, i) pairs
+    (state-major). Each measure runs once on all of the pairs."""
     check_measures(kinds)
-    pairs = _Pairs(mats, nodal, MEASURED_SIDE[direction])
-    out = np.empty((len(mats), len(kinds)))
+    pairs = _Pairs(forms, nodal, MEASURED_SIDE[direction])
+    out = np.empty((len(forms), len(kinds)))
     for j, kind in enumerate(kinds):
         values = pairs[kind]
-        out[:, j] = ordered_sum(values.reshape(len(mats), -1)) if MEASURES[kind][0] else values
+        out[:, j] = ordered_sum(values.reshape(len(forms), -1)) if MEASURES[kind][0] else values
     return out, pairs.searches
 
 
 def evaluate_measures(rho: DensityMatrix, kinds, nodal: int = 1,
                       direction: str = "left") -> list[float]:
     """Registry measures of one state, in the order of `kinds`."""
-    return evaluate_block(rho.matrix[None], kinds, nodal, direction)[0][0].tolist()
+    return evaluate_block(fano(rho.matrix[None]), kinds, nodal, direction)[0][0].tolist()
 
 
 def distributed_measure(rho: DensityMatrix, kind: str, nodal: int = 1,
@@ -383,11 +382,10 @@ def koashi_winter_check(rho: DensityMatrix, nodal: int = 1, refine: bool = True,
     n = rho.n_qubits
     if n < 3:
         raise ValueError("need at least 3 qubits")
-    rho2s = nodal_pairs(rho.matrix[None], nodal)[0]
-    F = fano(rho2s)
+    F = pair_forms(fano(rho.matrix[None]), nodal)[0]
     cds = _discord(np.roll(F, -1, axis=0), "second", grid, refine).value
     lhs = 0.0
-    for eof, cd in zip(_entanglement_of_formation(rho2s).tolist(), cds.tolist()):
+    for eof, cd in zip(_entanglement_of_formation(density(F, 2)).tolist(), cds.tolist()):
         lhs += eof
         lhs += cd
     bound = (n - 1) * float(_qubit_entropy(np.linalg.norm(F[0, 1:, 0])))

@@ -13,9 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import apply_stack, make_channel
+from .channels import apply_forms, make_channel
 from .measures import evaluate_block
-from .states import PureState
+from .states import PureState, fano
 
 ENSEMBLES = ("haar", "w_class")
 # samples per block of the ensemble engine: their pairs share one search per measure
@@ -41,6 +41,8 @@ class SamplerConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.ensemble == "w_class" and self.n_qubits != 3:
             raise ValueError("w_class ensemble requires n_qubits = 3")
 
@@ -103,19 +105,20 @@ def summarize(values: np.ndarray, measure: str, channel: str, p: float,
 def _evaluate_cells(cfg: SamplerConfig, cells, measures, nodal: int, direction: str,
                     threads: int) -> list[np.ndarray]:
     """Per-sample values (count, len(measures)) of each (channel_kind, p) cell,
-    rows in index order. Each block of BLOCK indices is drawn once as one
-    (B, 2^n, 2^n) stack for every cell, so a value depends on its index alone,
-    never on the thread schedule or on the other cells."""
+    rows in index order. Each block of BLOCK indices is drawn once and turned
+    into one (B, 4, ..., 4) stack of Fano forms for every cell, so a value
+    depends on its index alone, never on the thread schedule or on the other
+    cells."""
     chans = [make_channel(kind, p) if kind != "none" else None for kind, p in cells]
     outs = [np.empty((cfg.count, len(measures)), dtype=float) for _ in cells]
     sites = range(1, cfg.n_qubits + 1)
 
     def work(start: int):
         stop = min(start + BLOCK, cfg.count)
-        drawn = draw_stack(cfg, range(start, stop))
+        drawn = fano(draw_stack(cfg, range(start, stop)))
         for ch, out in zip(chans, outs):
-            mats = drawn if ch is None else apply_stack(drawn, ch, sites)
-            out[start:stop] = evaluate_block(mats, measures, nodal, direction)[0]
+            forms = drawn if ch is None else apply_forms(drawn, ch, sites)
+            out[start:stop] = evaluate_block(forms, measures, nodal, direction)[0]
 
     blocks = range(0, cfg.count, BLOCK)
     if threads <= 1:

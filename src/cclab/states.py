@@ -1,4 +1,4 @@
-"""Complex linear-algebra substrate for few-qubit states.
+"""Few-qubit states: density matrices and their real Fano forms.
 
 Conventions: qubit 1 is the leftmost tensor factor (most significant bit of
 the computational-basis index), and qubit indices in the public API are
@@ -167,41 +167,32 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(psi.n_qubits, rho, validate=False)
 
 
-# The stack forms below work on (B, 2^n, 2^n) arrays of density matrices; the
-# DensityMatrix forms are their B = 1 case.
+# The stack forms below work on (B, 2^n, 2^n) density matrices or their
+# (B, 4, ..., 4) Fano forms; the DensityMatrix forms are their B = 1 case.
 
-def stack_qubits(mats: np.ndarray) -> int:
-    """n of a (B, 2^n, 2^n) stack."""
-    return int(mats.shape[-1]).bit_length() - 1
-
-
-def partial_trace_stack(mats: np.ndarray, keep) -> np.ndarray:
-    """Trace out every qubit not in `keep` (1-based indices, order preserved)
-    of each matrix of the stack."""
-    n = stack_qubits(mats)
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every qubit not in `keep` (1-based indices, order preserved)."""
+    n = rho.n_qubits
     keep0 = [k - 1 for k in check_sites(keep, n)]
     if not keep0:
         raise ValueError("keep must be non-empty")
     drop0 = [i for i in range(n) if i not in keep0]
-    t = mats.reshape([len(mats)] + [2] * (2 * n))
-    # row axes are 1..n, column axes n+1..2n
-    t = np.transpose(t, [0] + [1 + a for a in keep0 + drop0] + [1 + n + a for a in keep0 + drop0])
+    # row axes are 0..n-1, column axes n..2n-1
+    t = np.transpose(rho.matrix.reshape([2] * (2 * n)),
+                     keep0 + drop0 + [n + a for a in keep0 + drop0])
     dk, dd = 2 ** len(keep0), 2 ** len(drop0)
-    return np.einsum("zabcb->zac", t.reshape(len(mats), dk, dd, dk, dd))
+    return DensityMatrix(len(keep0), np.einsum("abcb->ac", t.reshape(dk, dd, dk, dd)),
+                         validate=False)
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not in `keep` (1-based indices, order preserved)."""
-    out = partial_trace_stack(rho.matrix[None], keep)[0]
-    return DensityMatrix(stack_qubits(out), out, validate=False)
-
-
-def nodal_pairs(mats: np.ndarray, nodal: int) -> np.ndarray:
-    """The reduced two-qubit states (nodal, i) of every i != nodal, in
-    increasing i, of each state of the stack: shape (B, n - 1, 4, 4)."""
-    n = stack_qubits(mats)  # an out-of-range nodal fails check_sites
-    return np.stack([partial_trace_stack(mats, (nodal, i))
-                     for i in range(1, n + 1) if i != nodal], axis=1)
+def pair_forms(F: np.ndarray, nodal: int) -> np.ndarray:
+    """Fano forms (B, n - 1, 4, 4) of the reduced pairs (nodal, i), i != nodal
+    in increasing order, of a stack of n-qubit Fano forms (B, 4, ..., 4):
+    tracing a qubit out reads its index 0, so each pair is a slice."""
+    n = F.ndim - 1
+    G = np.moveaxis(F, check_sites((nodal,), n)[0], 1)  # nodal first, then the others
+    return np.stack([G[(slice(None),) * 2 + (0,) * k + (slice(None),) + (0,) * (n - 2 - k)]
+                     for k in range(n - 1)], axis=1)
 
 
 def ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -220,7 +211,7 @@ def fano(mats: np.ndarray) -> np.ndarray:
     vectors and F[1:, 1:] the correlation matrix (Horodecki & Horodecki, PRA
     54, 1838 (1996)). Elementwise: stack-independent. Rejects an imaginary
     residue above 1e-10 (a non-Hermitian input)."""
-    n, lead = stack_qubits(mats), mats.shape[:-2]
+    n, lead = int(mats.shape[-1]).bit_length() - 1, mats.shape[:-2]
     k = len(lead)
     # (..., r1, ..., rn, c1, ..., cn) -> (..., r1 c1, ..., rn cn)
     perm = list(range(k)) + [k + a for s in range(n) for a in (s, n + s)]
@@ -237,19 +228,32 @@ def fano(mats: np.ndarray) -> np.ndarray:
     return t.real.reshape(lead + (4,) * n)
 
 
-def partial_transpose_stack(mats: np.ndarray, subsystem) -> np.ndarray:
-    """Transpose the given qubits (1-based) of each matrix of the stack."""
-    n = stack_qubits(mats)
-    perm = list(range(2 * n + 1))
-    for s in check_sites(subsystem, n):
-        perm[s], perm[n + s] = perm[n + s], perm[s]
-    return np.transpose(mats.reshape([len(mats)] + [2] * (2 * n)), perm).reshape(mats.shape)
+def density(F: np.ndarray, n: int) -> np.ndarray:
+    """Density matrices (..., 2^n, 2^n) of n-qubit Fano forms (..., 4, ..., 4),
+    rho = sum_j F[j1, ..., jn] sigma_j1 x ... x sigma_jn / 2^n: the inverse of
+    `fano`. Elementwise: stack-independent."""
+    lead = F.shape[:F.ndim - n]
+    t = F * 0.5 ** n  # exact: the same bits as halving at every site
+    for s in range(n):
+        # site s's Pauli axis replaced by its (r c) axis: f0 + f3, f1 - i f2,
+        # f1 + i f2 and f0 - f3 are the entries of sum_j f_j sigma_j
+        t = t.reshape(-1, 4, 4 ** (n - 1 - s))
+        f0, f1, f3, if2 = t[:, 0], t[:, 1], t[:, 3], 1j * t[:, 2]
+        t = np.concatenate([f0 + f3, f1 - if2, f1 + if2, f0 - f3], axis=1)
+    # (..., r1 c1, ..., rn cn) -> (..., r1, ..., rn, c1, ..., cn)
+    k = len(lead)
+    perm = list(range(k)) + [k + 2 * s for s in range(n)] + [k + 2 * s + 1 for s in range(n)]
+    return t.reshape(lead + (2,) * (2 * n)).transpose(perm).reshape(lead + (2 ** n,) * 2)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem) -> np.ndarray:
-    """Transpose the given qubits. Result is Hermitian, trace 1, possibly
-    non-positive, so a plain matrix is returned."""
-    return partial_transpose_stack(rho.matrix[None], subsystem)[0]
+    """Transpose the given qubits (1-based). Result is Hermitian, trace 1,
+    possibly non-positive, so a plain matrix is returned."""
+    n = rho.n_qubits
+    perm = list(range(2 * n))  # row axes 0..n-1, column axes n..2n-1
+    for s in check_sites(subsystem, n):
+        perm[s - 1], perm[n + s - 1] = perm[n + s - 1], perm[s - 1]
+    return np.transpose(rho.matrix.reshape([2] * (2 * n)), perm).reshape(rho.matrix.shape)
 
 
 def entropy_stack(mats: np.ndarray) -> np.ndarray:

@@ -35,6 +35,25 @@ def test_channels_complete(kind, p):
     assert np.allclose(total, np.eye(2), atol=1e-12)
 
 
+def _closed_form_ptm(kind, p):
+    """R[i, j] = tr(sigma_i E(sigma_j)) / 2 from each channel's law: PDC and
+    DPC shrink the Bloch vector's xy (and z) components, ADC shrinks x and y
+    by sqrt(1 - p) and maps z to (1 - p) z + p."""
+    if kind == "pdc":
+        return np.diag([1.0, 1 - p, 1 - p, 1.0])
+    if kind == "dpc":
+        return np.diag([1.0] + [1 - 4 * p / 3] * 3)
+    R = np.diag([1.0, np.sqrt(1 - p), np.sqrt(1 - p), 1 - p])
+    R[3, 0] = p
+    return R
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.37, 0.75, 1.0])
+def test_ptm_matches_closed_form(kind, p):
+    assert np.max(np.abs(make_channel(kind, p).ptm - _closed_form_ptm(kind, p))) <= 1e-15
+
+
 def test_p_zero_is_identity():
     rho = random_density(3, 0)
     for kind in KINDS:

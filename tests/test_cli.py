@@ -92,17 +92,34 @@ def test_threads_below_one_exit_2(argv, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv,config_seed", [
+    (["sweep"], -1), (["sweep", "--seed", "-1"], 3), (["recipe", "table1_pdc", "--seed", "-1"], 3),
+], ids=lambda v: _argv_id(v) if isinstance(v, list) else f"config{v}")
+def test_negative_seed_exits_2(argv, config_seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    sampler = {"n_qubits": 3, "count": 20, "master_seed": config_seed}
+    extra = (["--config", str(write_config(tmp_path, sampler=sampler))] if argv[0] == "sweep"
+             else ["--out", str(out)])
+    assert cli.main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cclab: error: master_seed must be >= 0") and len(err.splitlines()) == 1
+    assert not os.path.exists(out)
+
+
 def test_sweep_draws_each_sample_once(tmp_path, monkeypatch):
-    # 2 channels x 2 p share one draw of each of the 40 samples (2 blocks)
-    drawn = []
-    real = sampling.sample_state
+    # 2 channels x 2 p share one draw of each of the 40 samples (2 blocks),
+    # and one Fano form of each block
+    drawn, forms = [], []
+    real, real_fano = sampling.sample_state, sampling.fano
     monkeypatch.setattr(sampling, "sample_state",
                         lambda cfg, i: drawn.append(i) or real(cfg, i))
+    monkeypatch.setattr(sampling, "fano", lambda mats: forms.append(len(mats)) or real_fano(mats))
     cfg = cli.load_config(write_config(
         tmp_path, channels=["pdc", "adc"], p_grid=[0.2, 0.6], measures=["dcmax", "mi"],
         sampler={"n_qubits": 3, "count": 40, "master_seed": 3}))
     manifest = cli.run_experiment(cfg)
     assert sorted(drawn) == list(range(40))
+    assert sorted(forms) == sorted([sampling.BLOCK, 40 - sampling.BLOCK])
     assert len(manifest.outputs) == 2 * 2 * (1 + 2)
 
 
@@ -486,8 +503,9 @@ def test_oracle_check_seed_zero(tmp_path, monkeypatch, capsys):
 
 
 def test_recipe_count_zero_fails(tmp_path, capsys):
-    rc = cli.main(["recipe", "ghzw_decay_pdc", "--out", str(tmp_path), "--count", "0"])
+    out = tmp_path / "out"
+    rc = cli.main(["recipe", "ghzw_decay_pdc", "--out", str(out), "--count", "0"])
     assert rc == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "count" in err
-    assert not os.path.exists(tmp_path / "decay_rate_pdc.csv")
+    assert not os.path.exists(out)

@@ -18,7 +18,7 @@ from cclab.measures import (classical_discord, classical_discord_detailed,
                             koashi_winter_check, local_work, log_negativity,
                             evaluate_block, mutual_information, quantum_discord)
 from cclab.sampling import SamplerConfig, sample_state
-from cclab.states import (PAULI, DensityMatrix, PureState, fano, nodal_pairs,
+from cclab.states import (PAULI, DensityMatrix, PureState, fano, pair_forms,
                           partial_trace, pure_to_density, von_neumann_entropy)
 from conftest import random_density, random_pure
 
@@ -138,12 +138,16 @@ def test_evaluate_measures_reduces_pairs_once(monkeypatch):
     kinds = ["mi", "dcmax", "ln", "eof", "cmax"]
     expected = [distributed_measure(rho, k, 2, "right") if k != "dcmax"
                 else measures.correlators.distributed_cmax(rho, 2) for k in kinds]
-    calls = []
-    original = measures.nodal_pairs
-    monkeypatch.setattr(measures, "nodal_pairs",
-                        lambda mats, nodal: calls.append(nodal) or original(mats, nodal))
+    calls, rebuilt = [], []
+    original, density = measures.pair_forms, measures.density
+    monkeypatch.setattr(measures, "pair_forms",
+                        lambda F, nodal: calls.append(nodal) or original(F, nodal))
+    monkeypatch.setattr(measures, "density",
+                        lambda F, n: rebuilt.append(F.shape) or density(F, n))
     assert evaluate_measures(rho, kinds, 2, "right") == expected
-    assert calls == [2]
+    # the pairs are sliced once; mi and eof share one rebuilt matrix per pair,
+    # and ln rebuilds each pair's partial transpose
+    assert calls == [2] and rebuilt == [(3, 4, 4)] * 2
     with pytest.raises(ValueError, match="unknown measure"):
         evaluate_measures(rho, ["mi", "magic"])
 
@@ -210,7 +214,7 @@ def _noisy_pairs(count):
     for i in range(count // 2):
         rho = apply_uniform(pure_to_density(random_pure(3, 200 + i)),
                             make_channel(("pdc", "dpc", "adc")[i % 3], 0.25))
-        out.append(fano(nodal_pairs(rho.matrix[None], 1)[0]))
+        out.append(pair_forms(fano(rho.matrix[None]), 1)[0])
     return np.concatenate(out)
 
 
@@ -255,7 +259,8 @@ def test_pure_pairs_discord_is_marginal_entropy():
     rhos = [pure_to_density(sample_state(cfg, i)) for i in range(cfg.count)]
     rhos.append(pure_to_density(PureState.basis(2, 2)))
     for direction in ("left", "right"):
-        values, _ = evaluate_block(np.array([r.matrix for r in rhos]), ["cd", "qd"], 1, direction)
+        values, _ = evaluate_block(fano(np.array([r.matrix for r in rhos])), ["cd", "qd"], 1,
+                                   direction)
         for (cd, qd), rho in zip(values, rhos):
             s_a = von_neumann_entropy(partial_trace(rho, (1,)))
             assert cd == pytest.approx(s_a, abs=1e-9)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,12 @@ from conftest import random_pure
 @pytest.mark.parametrize("N,k", [(2, 1), (3, 2), (4, 4), (5, 3)])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
 def test_pdc_xy_sum_collapses_to_power_law(N, k, p):
-    # the alternating binomial sum telescopes to (1-p)^k
-    assert oracles.pdc_xy_multiplier(N, k, p) == pytest.approx((1 - p) ** k, abs=1e-12)
+    """The closed form equals the sum over r sigma_z insertions, q of them on
+    measured sites (each flipping the sign of an anticommuting Pauli), that it
+    is derived from."""
+    total = sum((-1) ** q * comb(k, q) * comb(N - k, r - q) * (p / 2) ** r * (1 - p / 2) ** (N - r)
+                for r in range(N + 1) for q in range(min(r, k) + 1))
+    assert oracles.pdc_xy_multiplier(N, k, p) == pytest.approx(total, abs=1e-12)
 
 
 def test_pdc_multiplier_z_plane_is_one():

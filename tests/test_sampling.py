@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cclab.channels import apply_uniform, make_channel
-from cclab.measures import evaluate_measures
-from cclab.sampling import (BLOCK, FitError, SamplerConfig, decay_rate,
+from cclab.channels import apply_forms, apply_uniform, make_channel
+from cclab.measures import evaluate_block, evaluate_measures
+from cclab.sampling import (BLOCK, FitError, SamplerConfig, decay_rate, draw_stack,
                             ensemble_sweep, evaluate_ensemble, fit_bounds,
                             sample_state, summarize)
-from cclab.states import pure_to_density
+from cclab.states import fano, pure_to_density
 
 
 def test_sampler_config_validation():
@@ -20,6 +20,8 @@ def test_sampler_config_validation():
         SamplerConfig(4, ensemble="w_class")
     with pytest.raises(ValueError, match="n_qubits"):
         SamplerConfig(1)
+    with pytest.raises(ValueError, match="master_seed"):
+        SamplerConfig(3, master_seed=-1)
 
 
 def test_sample_determinism():
@@ -80,15 +82,20 @@ def test_evaluate_ensemble_thread_invariance():
 
 def test_evaluate_ensemble_blocks_match_single_states():
     """Three blocks and a part of one give, bit for bit, the values of each
-    state evaluated alone, on 1 thread and on 2."""
+    sample's Fano form evaluated alone, on 1 thread and on 2; and the
+    one-state DensityMatrix API, which rebuilds each noisy matrix, within
+    1e-13."""
     cfg = SamplerConfig(3, count=3 * BLOCK + 5, master_seed=21)
     kinds = ["cd", "qd", "lw_half", "mi", "ln", "eof", "cmax", "dcmax", "genuine_cmax"]
     ch = make_channel("adc", 0.3)
-    alone = np.array([evaluate_measures(apply_uniform(pure_to_density(sample_state(cfg, i)), ch),
-                                        kinds, 2, "right") for i in range(cfg.count)])
+    alone = np.array([evaluate_block(apply_forms(fano(draw_stack(cfg, [i])), ch, range(1, 4)),
+                                     kinds, 2, "right")[0][0] for i in range(cfg.count)])
     for threads in (1, 2):
         assert np.array_equal(
             evaluate_ensemble(cfg, "adc", 0.3, kinds, 2, "right", threads=threads), alone)
+    api = np.array([evaluate_measures(apply_uniform(pure_to_density(sample_state(cfg, i)), ch),
+                                      kinds, 2, "right") for i in range(cfg.count)])
+    assert np.max(np.abs(api - alone)) <= 1e-13
 
 
 def test_criterion_9_count_spans_blocks():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cclab.states import (PAULI_LABELS, DensityMatrix, PositivityError, PureState,
-                          fano, load_state, partial_trace, partial_transpose,
-                          pauli_expectation, pure_to_density, shannon_entropy,
-                          von_neumann_entropy)
+                          density, fano, load_state, pair_forms, partial_trace,
+                          partial_transpose, pauli_expectation, pure_to_density,
+                          shannon_entropy, von_neumann_entropy)
 from conftest import dense_pauli_expectation, random_density, random_pure
 
 
@@ -163,6 +163,40 @@ def test_fano_matches_pauli_expectations():
                 assert pauli_expectation(rho, labels) == F[idx]
             assert np.array_equal(fano(rho.matrix), F)
             assert np.array_equal(fano(rho.matrix[None])[0], F)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_density_inverts_fano(n):
+    """density(fano(m), n) recovers m, for a stack and for each state alone;
+    a state's matrix is the same bit for bit alone or inside the stack."""
+    mats = np.array([random_density(n, 60 + 10 * n + k).matrix for k in range(3)])
+    F = fano(mats)
+    stacked = density(F, n)
+    assert stacked.shape == mats.shape
+    assert np.max(np.abs(stacked - mats)) <= 1e-15
+    for m, f, d in zip(mats, F, stacked):
+        alone = density(f, n)
+        assert np.max(np.abs(alone - m)) <= 1e-15
+        assert np.array_equal(alone, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_forms_are_partial_traces(n):
+    """The (nodal, i) slices of an n-qubit form are the Fano forms of the
+    reduced pairs, for every nodal qubit."""
+    rhos = [random_density(n, 90 + 10 * n + k) for k in range(2)]
+    F = fano(np.array([r.matrix for r in rhos]))
+    for nodal in range(1, n + 1):
+        pairs = pair_forms(F, nodal)
+        assert pairs.shape == (2, n - 1, 4, 4)
+        for rho, row in zip(rhos, pairs):
+            others = [i for i in range(1, n + 1) if i != nodal]
+            for i, pair in zip(others, row):
+                want = fano(partial_trace(rho, (nodal, i)).matrix)
+                assert np.max(np.abs(pair - want)) <= 1e-15, (nodal, i)
+    for bad in (0, n + 1):
+        with pytest.raises(IndexError):
+            pair_forms(F, bad)
 
 
 def test_pauli_expectation_rejects_imaginary_residue():
